@@ -16,8 +16,9 @@
  * goodput_ok_fraction — all measured on the virtual clock, so the
  * num_threads=1 rows are deterministic and gated by
  * tools/check_bench.py. The same arrival trace then runs with
- * num_threads=2 (decode worker pool) and through AsyncFrontEnd with
- * racing producer threads ("poisson-async"); those rows are ungated
+ * num_threads=2 (decode worker pool) and through a one-shard
+ * ShardedFrontEnd with racing producer threads ("poisson-async");
+ * those rows are ungated
  * (CI boxes are single-core) but their token streams are verified
  * bit-identical before any number is emitted — threading is a
  * throughput decision, never a numerics decision.
@@ -104,7 +105,6 @@
 
 #include "common/rng.h"
 #include "model/quant_config.h"
-#include "serve/async_engine.h"
 #include "serve/router.h"
 #include "serve/serving_engine.h"
 
@@ -346,35 +346,15 @@ mixedWorkload(size_t requests)
 }
 
 /**
- * Fill a RunResult from a DRAINED engine: shared by the batch-at-once
- * runner (runConfig), the open-loop poisson runner and the async
+ * Copy aggregate @p es and the per-request results (@p per_request, in
+ * request order) into @p res: shared by collectResult and the live
  * front-end runner, so every traffic shape reports the same schema.
- * @p ids maps request index -> engine id (submission interfaces
- * differ; the per-request stats lookup does not).
  */
-RunResult
-collectResult(const ServingEngine &engine, const Transformer &model,
-              const std::string &format, const std::string &workload_name,
-              const std::vector<ServeRequest> &reqs,
-              const std::vector<size_t> &ids, const EngineOptions &opts)
+void
+fillResult(const EngineStats &es,
+           const std::vector<const RequestStats *> &per_request,
+           RunResult &res)
 {
-    const size_t pt = engine.pool().pageTokens();
-    const size_t page_bytes = engine.pool().pageBytes();
-    const size_t layers = model.config().n_layers;
-    size_t reserved_worst = 0;
-    for (const auto &req : reqs) {
-        const size_t tokens = req.prompt.size() + req.max_new_tokens;
-        reserved_worst += (tokens + pt - 1) / pt * layers * page_bytes;
-    }
-
-    RunResult res;
-    res.format = format;
-    res.workload = workload_name;
-    res.batch = opts.max_batch;
-    res.requests = reqs.size();
-    res.num_threads = opts.num_threads;
-    res.kv_bytes_reserved_worst = reserved_worst;
-    const EngineStats &es = engine.engineStats();
     res.throughput_tok_s = es.throughput_tokens_per_s;
     res.decode_tok_s = es.decode_tokens_per_s;
     res.mean_batch_occupancy = es.mean_batch_occupancy;
@@ -398,19 +378,52 @@ collectResult(const ServingEngine &engine, const Transformer &model,
 
     std::vector<double> ttfts;
     std::vector<double> token_ms;
-    for (size_t id : ids) {
-        const RequestStats &rs = engine.stats(id);
-        res.streams.push_back(rs.generated);
-        if (rs.generated.empty())
+    for (const RequestStats *rs : per_request) {
+        res.streams.push_back(rs->generated);
+        if (rs->generated.empty())
             continue; // rejected/shed: a 0.0 ttft would deflate p50/p99
-        ttfts.push_back(rs.ttft_ms);
-        token_ms.insert(token_ms.end(), rs.token_ms.begin(),
-                        rs.token_ms.end());
+        ttfts.push_back(rs->ttft_ms);
+        token_ms.insert(token_ms.end(), rs->token_ms.begin(),
+                        rs->token_ms.end());
     }
     res.ttft_p50_ms = latencyPercentile(ttfts, 0.50);
     res.ttft_p99_ms = latencyPercentile(ttfts, 0.99);
     res.token_p50_ms = latencyPercentile(token_ms, 0.50);
     res.token_p99_ms = latencyPercentile(token_ms, 0.99);
+}
+
+/**
+ * Fill a RunResult from a DRAINED engine: shared by the batch-at-once
+ * runner (runConfig) and the open-loop poisson runner. @p ids maps
+ * request index -> engine id (submission interfaces differ; the
+ * per-request stats lookup does not).
+ */
+RunResult
+collectResult(const ServingEngine &engine, const Transformer &model,
+              const std::string &format, const std::string &workload_name,
+              const std::vector<ServeRequest> &reqs,
+              const std::vector<size_t> &ids, const EngineOptions &opts)
+{
+    const size_t pt = engine.pool().pageTokens();
+    const size_t page_bytes = engine.pool().pageBytes();
+    const size_t layers = model.config().n_layers;
+    size_t reserved_worst = 0;
+    for (const auto &req : reqs) {
+        const size_t tokens = req.prompt.size() + req.max_new_tokens;
+        reserved_worst += (tokens + pt - 1) / pt * layers * page_bytes;
+    }
+
+    RunResult res;
+    res.format = format;
+    res.workload = workload_name;
+    res.batch = opts.max_batch;
+    res.requests = reqs.size();
+    res.num_threads = opts.num_threads;
+    res.kv_bytes_reserved_worst = reserved_worst;
+    std::vector<const RequestStats *> per_request;
+    for (size_t id : ids)
+        per_request.push_back(&engine.stats(id));
+    fillResult(engine.engineStats(), per_request, res);
     return res;
 }
 
@@ -536,22 +549,26 @@ runPoissonConfig(const Transformer &model, const std::string &format,
 }
 
 /**
- * The same request set pushed through AsyncFrontEnd by racing producer
- * threads. Arrival pacing is the producers' (as fast as they can
- * submit), so per-request latency is not comparable to the open-loop
- * rows and the row is never gated — what IS checked, before any number
- * is emitted, is that every token stream is bit-identical to the
- * serial engine's (main() verifies against the deadline-free sync
- * reference).
+ * The same request set pushed through a live ShardedFrontEnd by racing
+ * producer threads: one shard ("poisson-async", the single-engine
+ * deployment) or a routed fleet ("sharded-async"). Arrival pacing is
+ * the producers' (as fast as they can submit), so per-request latency
+ * is not comparable to the virtual-clock rows. The row reports
+ * num_threads = shards x decode workers (2 and 4 here, never 1), so
+ * tools/check_bench.py never gates it — what IS checked, before any
+ * number is emitted, is that every token stream is bit-identical to
+ * the serial reference (main() compares them): concurrency, sharding
+ * and re-routing are throughput decisions, never numerics decisions.
  */
 RunResult
-runPoissonAsync(const Transformer &model, const std::string &format,
-                const std::string &workload_name,
-                const std::vector<ServeRequest> &reqs, EngineOptions opts)
+runFrontEnd(const Transformer &model, const std::string &format,
+            const std::string &workload_name,
+            const std::vector<ServeRequest> &reqs,
+            const RouterOptions &router, EngineOptions opts)
 {
     const QuantConfig qc = QuantConfig::fromFormat(format);
     constexpr size_t kProducers = 3;
-    AsyncFrontEnd fe(model, qc, opts);
+    ShardedFrontEnd fe(model, qc, opts, router);
     std::vector<uint64_t> tickets(reqs.size());
     std::vector<std::thread> producers;
     for (size_t p = 0; p < kProducers; ++p) {
@@ -569,43 +586,11 @@ runPoissonAsync(const Transformer &model, const std::string &format,
     res.workload = workload_name;
     res.batch = opts.max_batch;
     res.requests = reqs.size();
-    res.num_threads = opts.num_threads;
-    const EngineStats &es = fe.engineStats();
-    res.throughput_tok_s = es.throughput_tokens_per_s;
-    res.decode_tok_s = es.decode_tokens_per_s;
-    res.mean_batch_occupancy = es.mean_batch_occupancy;
-    res.kv_bytes_peak = es.kv_bytes_peak;
-    res.kv_pages_peak = es.kv_pages_peak;
-    res.prefill_chunks = es.prefill_chunks;
-    res.admission_deferred_steps = es.admission_deferred_steps;
-    res.prefix_hit_tokens = es.prefix_hit_tokens;
-    res.preemptions = es.preemptions;
-    res.preempted_recompute_tokens = es.preempted_recompute_tokens;
-    res.queue_wait_ms_p50 = es.queue_wait_ms_p50;
-    res.queue_wait_ms_p99 = es.queue_wait_ms_p99;
-    res.shed = es.shed_requests;
-    res.timed_out = es.timed_out_requests;
-    res.cancelled = es.cancelled_requests;
-    res.checksum_failures = es.checksum_failures;
-    res.kv_bytes_reserved_peak = es.kv_bytes_reserved_peak;
-    res.compressed_ratio = es.compressed_ratio;
-    res.admitted_before_first_defer = es.admitted_before_first_defer;
-    res.goodput_ok_fraction = es.goodput_ok_fraction;
-    std::vector<double> ttfts;
-    std::vector<double> token_ms;
-    for (uint64_t t : tickets) {
-        const RequestStats &rs = fe.stats(t);
-        res.streams.push_back(rs.generated);
-        if (rs.generated.empty())
-            continue;
-        ttfts.push_back(rs.ttft_ms);
-        token_ms.insert(token_ms.end(), rs.token_ms.begin(),
-                        rs.token_ms.end());
-    }
-    res.ttft_p50_ms = latencyPercentile(ttfts, 0.50);
-    res.ttft_p99_ms = latencyPercentile(ttfts, 0.99);
-    res.token_p50_ms = latencyPercentile(token_ms, 0.50);
-    res.token_p99_ms = latencyPercentile(token_ms, 0.99);
+    res.num_threads = router.num_shards * opts.num_threads;
+    std::vector<const RequestStats *> per_request;
+    for (uint64_t t : tickets)
+        per_request.push_back(&fe.stats(t));
+    fillResult(fe.engineStats(), per_request, res);
     return res;
 }
 
@@ -905,81 +890,6 @@ runShardedFailoverSim(const Transformer &model, const std::string &format,
     return res;
 }
 
-/**
- * The same fleet served live: a ShardedFrontEnd with real shard
- * threads and racing producers, routing by prefix affinity. Reported
- * with num_threads = num_shards, so the row is never gated (CI boxes
- * are single-core) — main() verifies its token streams bit-identical
- * to the single-engine reference before the row is emitted, which is
- * the acceptance point: sharding and re-routing are throughput
- * decisions, never numerics decisions.
- */
-RunResult
-runShardedAsync(const Transformer &model, const std::string &format,
-                const std::string &workload_name,
-                const std::vector<ServeRequest> &reqs,
-                const RouterOptions &router, EngineOptions opts)
-{
-    const QuantConfig qc = QuantConfig::fromFormat(format);
-    constexpr size_t kProducers = 3;
-    ShardedFrontEnd fe(model, qc, opts, router);
-    std::vector<uint64_t> tickets(reqs.size());
-    std::vector<std::thread> producers;
-    for (size_t p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&, p] {
-            for (size_t i = p; i < reqs.size(); i += kProducers)
-                tickets[i] = fe.submit(reqs[i]);
-        });
-    }
-    for (auto &t : producers)
-        t.join();
-    fe.drain();
-
-    RunResult res;
-    res.format = format;
-    res.workload = workload_name;
-    res.batch = opts.max_batch;
-    res.requests = reqs.size();
-    res.num_threads = router.num_shards; // shard threads: never gated
-    const EngineStats &es = fe.engineStats();
-    res.throughput_tok_s = es.throughput_tokens_per_s;
-    res.decode_tok_s = es.decode_tokens_per_s;
-    res.mean_batch_occupancy = es.mean_batch_occupancy;
-    res.kv_bytes_peak = es.kv_bytes_peak;
-    res.kv_pages_peak = es.kv_pages_peak;
-    res.prefill_chunks = es.prefill_chunks;
-    res.admission_deferred_steps = es.admission_deferred_steps;
-    res.prefix_hit_tokens = es.prefix_hit_tokens;
-    res.preemptions = es.preemptions;
-    res.preempted_recompute_tokens = es.preempted_recompute_tokens;
-    res.queue_wait_ms_p50 = es.queue_wait_ms_p50;
-    res.queue_wait_ms_p99 = es.queue_wait_ms_p99;
-    res.shed = es.shed_requests;
-    res.timed_out = es.timed_out_requests;
-    res.cancelled = es.cancelled_requests;
-    res.checksum_failures = es.checksum_failures;
-    res.kv_bytes_reserved_peak = es.kv_bytes_reserved_peak;
-    res.compressed_ratio = es.compressed_ratio;
-    res.admitted_before_first_defer = es.admitted_before_first_defer;
-    res.goodput_ok_fraction = es.goodput_ok_fraction;
-    std::vector<double> ttfts;
-    std::vector<double> token_ms;
-    for (uint64_t t : tickets) {
-        const RequestStats &rs = fe.stats(t);
-        res.streams.push_back(rs.generated);
-        if (rs.generated.empty())
-            continue;
-        ttfts.push_back(rs.ttft_ms);
-        token_ms.insert(token_ms.end(), rs.token_ms.begin(),
-                        rs.token_ms.end());
-    }
-    res.ttft_p50_ms = latencyPercentile(ttfts, 0.50);
-    res.ttft_p99_ms = latencyPercentile(ttfts, 0.99);
-    res.token_p50_ms = latencyPercentile(token_ms, 0.50);
-    res.token_p99_ms = latencyPercentile(token_ms, 0.99);
-    return res;
-}
-
 void
 printResult(FILE *out, const RunResult &r, bool last)
 {
@@ -1066,8 +976,8 @@ main(int argc, char **argv)
     // Headline: the poisson open-loop rps workload. Per format, the
     // SAME pre-drawn arrival trace runs three ways — serial
     // (num_threads=1, the deterministic gated row), with the decode
-    // worker pool (num_threads=2), and through AsyncFrontEnd with
-    // racing producers — and every token stream is verified
+    // worker pool (num_threads=2), and through a one-shard front end
+    // with racing producers — and every token stream is verified
     // bit-identical before a single number is emitted. The serial and
     // worker-pool runs share deadlines on the virtual clock (identical
     // scheduling, so identical timeout sets); the async run paces
@@ -1115,8 +1025,11 @@ main(int argc, char **argv)
             model, fmt, "poisson-ref", reqs, arrivals, nodeadline);
         EngineOptions async_opts = nodeadline;
         async_opts.num_threads = 2;
-        RunResult async = runPoissonAsync(model, fmt, "poisson-async",
-                                          reqs, async_opts);
+        RouterOptions one_shard;
+        one_shard.num_shards = 1;
+        one_shard.submit_timeout_ms = 0.0; // wait for ring space, never shed
+        RunResult async = runFrontEnd(model, fmt, "poisson-async", reqs,
+                                      one_shard, async_opts);
         async.offered_rps = poisson_rps;
         if (async.streams != reference.streams) {
             std::fprintf(stderr,
@@ -1385,8 +1298,8 @@ main(int argc, char **argv)
         RunResult failover = runShardedFailoverSim(
             model, fmt, "sharded-failover", reqs, affinity,
             sharded_shards, affinity[0], sharded_kill_tick, opts);
-        RunResult live = runShardedAsync(model, fmt, "sharded-async",
-                                         reqs, router, opts);
+        RunResult live = runFrontEnd(model, fmt, "sharded-async", reqs,
+                                     router, opts);
         // The affinity fleet again with frozen-page compression armed
         // on every shard: per-family prefix copies shrink to their
         // stream size, so the fleet's resident peak drops while the

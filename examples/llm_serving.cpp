@@ -6,9 +6,9 @@
  * model, and then actually serve the emulated model with the batched
  * continuous-batching engine (prefill + incremental quantized-KV decode)
  * — the workflow the paper's introduction motivates, from quality to
- * throughput. Closes by serving the same workload through the unified
- * ServingClient API twice — one async engine, then a sharded fleet —
- * and showing the token streams are bit-identical.
+ * throughput. Closes by serving the same workload through the front
+ * end twice — one engine, then a sharded fleet — and showing the
+ * token streams are bit-identical.
  */
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 
 #include "gpusim/llm_timing.h"
 #include "model/eval.h"
-#include "serve/async_engine.h"
 #include "serve/router.h"
 #include "serve/serving_engine.h"
 
@@ -51,14 +50,14 @@ serveRow(const Transformer &model, const char *fmt, size_t batch)
 }
 
 /**
- * Client code written once against the abstract ServingClient API:
+ * Client code written once against the front end's ticket API:
  * submit a 2-family shared-prompt workload, drain, and report fleet
- * stats. The SAME function serves through one engine (AsyncFrontEnd)
- * or a sharded fleet (ShardedFrontEnd) — and returns the streams so
+ * stats. The SAME function serves through one engine (a one-shard
+ * ShardedFrontEnd) or a sharded fleet — and returns the streams so
  * the caller can show they are bit-identical either way.
  */
 std::vector<std::vector<int>>
-serveThroughClient(ServingClient &client, const char *label)
+serveThroughClient(ShardedFrontEnd &client, const char *label)
 {
     std::vector<uint64_t> tickets;
     for (size_t r = 0; r < 8; ++r) {
@@ -238,8 +237,8 @@ main()
                     es.preempted_recompute_tokens);
     }
 
-    // 6. The unified client API: the same client function serves
-    // through one async engine and through a 2-shard prefix-affinity
+    // 6. One front end, two deployments: the same client function
+    // serves through one engine and through a 2-shard prefix-affinity
     // fleet — same tickets, same stats schema, and (the canonical
     // invariant, now across sharding) bit-identical token streams.
     std::printf("\none client function, two deployments (MXFP4+, "
@@ -250,9 +249,12 @@ main()
     EngineOptions client_opts;
     client_opts.max_batch = 4;
     client_opts.prefix_cache_tokens = 512;
-    AsyncFrontEnd single(model, serve_qc, client_opts);
+    RouterOptions one_shard;
+    one_shard.num_shards = 1;
+    one_shard.submit_timeout_ms = 0.0;
+    ShardedFrontEnd single(model, serve_qc, client_opts, one_shard);
     const auto single_streams =
-        serveThroughClient(single, "async single engine");
+        serveThroughClient(single, "single engine");
     RouterOptions router;
     router.num_shards = 2;
     ShardedFrontEnd fleet(model, serve_qc, client_opts, router);

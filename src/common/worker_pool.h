@@ -22,9 +22,9 @@
  *  - The pool is intentionally mutex-per-loop, not lock-free: the
  *    mutex is taken once per parallelFor to publish the job and once
  *    per worker wake-up, never per item. (The lock-free structure in
- *    this codebase is the AsyncFrontEnd submit ring, which has
+ *    this codebase is the front end's submit ring, which has
  *    producers that must never block each other; see
- *    serve/async_engine.h.)
+ *    serve/router.h.)
  */
 
 #ifndef MXPLUS_COMMON_WORKER_POOL_H

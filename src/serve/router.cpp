@@ -23,6 +23,73 @@ steadyNowMs()
 
 } // namespace
 
+// ------------------------------------------------------------ SubmitRing ---
+
+namespace {
+
+size_t roundUpPow2(size_t v)
+{
+    size_t p = 2;
+    while (p < v)
+        p <<= 1;
+    return p;
+}
+
+} // namespace
+
+SubmitRing::SubmitRing(size_t capacity)
+    : buf_(roundUpPow2(capacity == 0 ? 2 : capacity))
+{
+    mask_ = buf_.size() - 1;
+    // Slot i is writable when seq == i: each slot's sequence trails its
+    // next claimable head value by exactly one lap.
+    for (size_t i = 0; i < buf_.size(); ++i)
+        buf_[i].seq.store(i, std::memory_order_relaxed);
+}
+
+bool SubmitRing::tryPush(Cmd &&cmd)
+{
+    uint64_t pos = head_.load(std::memory_order_relaxed);
+    for (;;) {
+        Slot &slot = buf_[pos & mask_];
+        const uint64_t seq = slot.seq.load(std::memory_order_acquire);
+        if (seq == pos) {
+            // Free this lap: claim it. CAS failure means another
+            // producer took pos — retry with the updated head.
+            if (head_.compare_exchange_weak(pos, pos + 1,
+                                            std::memory_order_relaxed)) {
+                slot.cmd = std::move(cmd);
+                // Publish: the consumer's acquire load of seq sees the
+                // cmd write strictly before it.
+                slot.seq.store(pos + 1, std::memory_order_release);
+                return true;
+            }
+            // pos was refreshed by the failed CAS; loop.
+        } else if (seq < pos) {
+            // Still holds last lap's value: the consumer hasn't freed
+            // it, i.e. the ring is full.
+            return false;
+        } else {
+            // Another producer already published here; chase the head.
+            pos = head_.load(std::memory_order_relaxed);
+        }
+    }
+}
+
+bool SubmitRing::tryPop(Cmd &out)
+{
+    Slot &slot = buf_[tail_ & mask_];
+    const uint64_t seq = slot.seq.load(std::memory_order_acquire);
+    if (seq != tail_ + 1)
+        return false; // not yet published
+    out = std::move(slot.cmd);
+    slot.cmd = Cmd{}; // drop any prompt allocation eagerly
+    // Free the slot for the producers' next lap.
+    slot.seq.store(tail_ + buf_.size(), std::memory_order_release);
+    ++tail_;
+    return true;
+}
+
 // ----------------------------------------------------------- routing policy --
 
 std::string
@@ -523,17 +590,15 @@ ShardedFrontEnd::routeTicket(uint64_t ticket,
         shards_[shard]->outstanding.fetch_sub(1,
                                               std::memory_order_relaxed);
         if (timeout > 0.0 && steadyNowMs() >= overall) {
-            refuseTicket(ticket, s);
+            refuseTicket(s);
             return;
         }
     }
 }
 
 void
-ShardedFrontEnd::refuseTicket(uint64_t ticket,
-                              const std::shared_ptr<Stream> &s)
+ShardedFrontEnd::refuseTicket(const std::shared_ptr<Stream> &s)
 {
-    (void)ticket;
     refused_submits_.fetch_add(1, std::memory_order_relaxed);
     s->routed_to = SIZE_MAX;
     {
@@ -709,61 +774,6 @@ ShardedFrontEnd::markCleanAndMaybeReady(size_t shard)
     done_cv_.notify_all();
 }
 
-void
-ShardedFrontEnd::retireDrain(size_t shard)
-{
-    Shard &sh = *shards_[shard];
-    {
-        std::lock_guard<std::mutex> lk(done_mu_);
-        stats_clean_[shard] = 0; // busy until finalized below
-    }
-
-    // Producers are sealed (retireShard flipped routable and waited
-    // out in-flight routes), so this sweep sees the ring's final word.
-    std::vector<std::pair<uint64_t, std::shared_ptr<Stream>>> reroute;
-    SubmitRing::Cmd cmd;
-    while (sh.ring->tryPop(cmd)) {
-        if (cmd.kind != SubmitRing::Cmd::Kind::kSubmit)
-            continue; // kCancel sweeps are droppable: the flag is the
-                      // truth and the new shard's map-time check reads it
-        auto stream = streamFor(cmd.ticket);
-        MXPLUS_CHECK(stream != nullptr);
-        if (cmd.route_epoch !=
-            stream->route_epoch.load(std::memory_order_acquire)) {
-            sh.outstanding.fetch_sub(1, std::memory_order_relaxed);
-            continue; // failover orphan (defensive: see publishShard)
-        }
-        reroute.emplace_back(cmd.ticket, std::move(stream));
-    }
-
-    // Everything already finished publishes normally; what remains is
-    // live mid-generation work.
-    publishShard(sh);
-    for (auto &entry : sh.live) {
-        // Cancel WITHOUT publishing the terminal: this cancel is a
-        // re-route artifact, not the ticket's outcome. Tokens already
-        // delivered stand; the restarted run regenerates the same
-        // stream and publish resumes past `published`.
-        sh.engine->cancel(entry.engine_id);
-        reroute.emplace_back(entry.ticket, entry.stream);
-    }
-    sh.live.clear();
-    // Settle the cancels and finalize this shard's aggregates — the
-    // merged fleet view still includes a retired shard's work.
-    sh.engine->runToCompletion();
-
-    for (auto &entry : reroute) {
-        sh.outstanding.fetch_sub(1, std::memory_order_relaxed);
-        // Restart elsewhere from the stream's master request. The
-        // re-route is bit-exact by the preemption-restart argument;
-        // a flagged cancel terminates at the new shard's map instead.
-        std::lock_guard<std::mutex> route_lk(entry.second->route_mu);
-        routeTicket(entry.first, entry.second);
-    }
-
-    markCleanAndMaybeReady(shard);
-}
-
 bool
 ShardedFrontEnd::consumeCrashBudget(size_t shard)
 {
@@ -867,7 +877,26 @@ ShardedFrontEnd::shardLoop(size_t shard)
             return;
         }
         if (sh.retire.load(std::memory_order_acquire)) {
-            retireDrain(shard);
+            // retireShard()'s shard-thread half. Producers are sealed
+            // out; mark the aggregates busy before touching the engine
+            // so no fleet merge reads it mid-change.
+            {
+                std::lock_guard<std::mutex> lk(done_mu_);
+                stats_clean_[shard] = 0;
+            }
+            // Everything already finished publishes normally. The rest
+            // is cancelled WITHOUT publishing: that cancel is a re-route
+            // artifact, not the ticket's outcome — retireShard re-owns
+            // those tickets once this thread has exited, and delivery
+            // resumes past `published`.
+            publishShard(sh);
+            for (const LiveTicket &entry : sh.live)
+                sh.engine->cancel(entry.engine_id);
+            sh.live.clear();
+            // Settle the cancels and finalize this shard's aggregates —
+            // the merged fleet view still includes a retired shard's
+            // work.
+            sh.engine->runToCompletion();
             return;
         }
 
@@ -929,19 +958,25 @@ ShardedFrontEnd::retireShard(size_t shard)
         return false; // someone must keep serving
 
     // Seal: no new routes, then wait out producers already inside the
-    // accept-guard window so the shard thread's final ring sweep is
-    // complete.
+    // accept-guard window, so every ticket pushed here is recorded with
+    // routed_to == shard before the re-own pass below reads it.
     sh.routable.store(false, std::memory_order_release);
     while (sh.inflight_routes.load(std::memory_order_acquire) != 0)
         std::this_thread::yield();
 
+    // Let the thread publish what finished and finalize its engine,
+    // then re-own the rest — ring leftovers, queued admissions and
+    // half-generated slots alike — exactly as failover does. A retired
+    // shard keeps its aggregates in the merge and does not count as a
+    // failover.
     {
         std::lock_guard<std::mutex> lk(sh.wake_mu);
         sh.retire.store(true, std::memory_order_release);
     }
     sh.wake_cv.notify_one();
     sh.thread.join();
-    sh.retired = true;
+    reownTickets(shard);
+    markCleanAndMaybeReady(shard);
     return true;
 }
 
@@ -989,36 +1024,11 @@ ShardedFrontEnd::failShard(size_t shard)
     failed_shards_.fetch_add(1, std::memory_order_relaxed);
 
     // Re-own every in-flight ticket from ROUTER-SIDE records alone —
-    // the shard thread may be wedged, slow, or gone, and nothing below
-    // needs it to ever run again. The epoch bump (under route_mu +
-    // stream mu) fences out any late publish from a thread that is in
-    // fact still alive.
-    std::vector<std::shared_ptr<Stream>> snapshot;
-    {
-        std::lock_guard<std::mutex> lk(registry_mu_);
-        snapshot = streams_;
-    }
-    size_t rerouted = 0;
-    for (size_t t = 0; t < snapshot.size(); ++t) {
-        const std::shared_ptr<Stream> &s = snapshot[t];
-        std::lock_guard<std::mutex> route_lk(s->route_mu);
-        if (s->routed_to != shard)
-            continue;
-        {
-            std::lock_guard<std::mutex> slk(s->mu);
-            if (s->done)
-                continue; // terminal already published: nothing to save
-            s->route_epoch.fetch_add(1, std::memory_order_relaxed);
-        }
-        // The dead shard's outstanding is deliberately left alone —
-        // it is out of the routing set; survivors are charged by
-        // routeTicket as usual. Delivery resumes past `published`.
-        routeTicket(t, s);
-        ++rerouted;
-    }
-    failover_reroutes_.fetch_add(rerouted, std::memory_order_relaxed);
+    // the shard thread may be wedged, slow, or gone, and nothing here
+    // needs it to ever run again.
+    failover_reroutes_.fetch_add(reownTickets(shard),
+                                 std::memory_order_relaxed);
 
-    sh.retired = true;
     // Fleet bookkeeping: the dead engine's aggregates are abandoned
     // (mergeFleetStats skips failed shards), so the shard counts as
     // clean from here on.
@@ -1031,6 +1041,39 @@ ShardedFrontEnd::failShard(size_t shard)
     if (sh.thread.joinable())
         sh.thread.join();
     return true;
+}
+
+size_t
+ShardedFrontEnd::reownTickets(size_t shard)
+{
+    std::vector<std::shared_ptr<Stream>> snapshot;
+    {
+        std::lock_guard<std::mutex> lk(registry_mu_);
+        snapshot = streams_;
+    }
+    size_t rerouted = 0;
+    for (size_t t = 0; t < snapshot.size(); ++t) {
+        const std::shared_ptr<Stream> &s = snapshot[t];
+        std::lock_guard<std::mutex> route_lk(s->route_mu);
+        if (s->routed_to != shard)
+            continue;
+        {
+            // The epoch bump (under route_mu + stream mu) fences out
+            // any late publish from a thread that is in fact still
+            // alive, and makes its ring leftovers stale.
+            std::lock_guard<std::mutex> slk(s->mu);
+            if (s->done)
+                continue; // terminal already published: nothing to save
+            s->route_epoch.fetch_add(1, std::memory_order_relaxed);
+        }
+        // The sealed shard's outstanding is deliberately left alone —
+        // it is out of the routing set; live shards are charged by
+        // routeTicket as usual. Delivery resumes past `published`; a
+        // flagged cancel terminates at the new shard's map instead.
+        routeTicket(t, s);
+        ++rerouted;
+    }
+    return rerouted;
 }
 
 size_t

@@ -1,10 +1,19 @@
 /**
  * @file
- * ShardedFrontEnd: N private ServingEngines behind a prefix-affinity
- * router, presented to clients through the same ServingClient surface
- * as the single-engine AsyncFrontEnd — now with fleet supervision:
- * heartbeat failure detection, crash failover without cooperative
- * drain, and bounded-wait submission.
+ * ShardedFrontEnd: the thread-safe, streaming front door of the serving
+ * stack — N private ServingEngines behind a prefix-affinity router, with
+ * concurrent submit()/cancel() from any number of client threads,
+ * per-ticket token streams, heartbeat failure detection, crash failover
+ * without cooperative drain, and bounded-wait submission. A one-shard
+ * fleet (RouterOptions::num_shards = 1) is the single-engine deployment.
+ *
+ * The contract: a ticket's delivered token stream is a pure function of
+ * the ServeRequest and the quantization format. How many shards
+ * existed, where the request was routed, whether it was re-routed,
+ * preempted, raced by other producers or failed over — all of that is
+ * throughput, none of it is numerics. Delivery is exactly-once. Every
+ * public method is safe to call from any thread; tickets are
+ * front-end-scoped (they are NOT engine request ids).
  *
  * Ownership and threading (the full diagram is in docs/ARCHITECTURE.md):
  *
@@ -13,10 +22,10 @@
  *    (optionally) FaultInjector — owned and touched by exactly one
  *    shard thread. Nothing below this file became shared or
  *    thread-safe; the router composes N copies of the single-threaded
- *    stack exactly the way AsyncFrontEnd wraps one.
+ *    stack.
  *  - Producers reach a shard through its own lock-free MPSC SubmitRing
- *    (the same Vyukov ring AsyncFrontEnd uses). Routing happens on the
- *    PRODUCER's thread: pick a shard, pass its accept-guard, push.
+ *    (below). Routing happens on the PRODUCER's thread: pick a shard,
+ *    pass its accept-guard, push.
  *  - Results flow back through per-ticket Stream cells; the delivery
  *    high-water mark (`published`) lives under the stream's own mutex,
  *    so WHOEVER regenerates the stream — the original shard, a
@@ -57,10 +66,13 @@
  * falsely-declared-dead shard that is still running finds the epoch
  * moved and drops its copy without publishing, so exactly-once
  * delivery never depends on the dead thread actually being dead.
- * retireShard() remains the graceful path (cooperative drain +
- * finalized stats); failShard() is the crash path (the failed shard's
- * ENGINE aggregates are abandoned with it, though per-ticket outcomes
- * stay complete).
+ * retireShard() is the graceful path: the shard's thread publishes what
+ * finished, cancels the rest unpublished and finalizes its engine
+ * aggregates (kept in the fleet merge) before it exits. failShard() is
+ * the crash path: the failed shard's ENGINE aggregates are abandoned
+ * with it, though per-ticket outcomes stay complete. Both then re-own
+ * the shard's unfinished tickets through one registry pass
+ * (reownTickets: epoch bump + routeTicket).
  *
  * Bounded-wait submission: tryPushToShard re-checks the accept-guard
  * inside its backpressure spin — sealing a shard unsticks every
@@ -92,13 +104,60 @@
 #include <thread>
 #include <vector>
 
-#include "serve/async_engine.h"
 #include "serve/fault.h"
 #include "serve/health.h"
-#include "serve/serving_client.h"
 #include "serve/serving_engine.h"
 
 namespace mxplus {
+
+/**
+ * Lock-free bounded MPSC command ring (Vyukov-style: per-slot sequence
+ * numbers arbitrate producers against the consumer without any lock).
+ * Producers may call tryPush concurrently; pop is single-consumer
+ * (the shard thread). Exposed in the header for the unit tests.
+ */
+class SubmitRing
+{
+  public:
+    struct Cmd
+    {
+        enum class Kind
+        {
+            kSubmit = 0,
+            kCancel, ///< wake-up; the stream's atomic flag is the truth
+        };
+        Kind kind = Kind::kSubmit;
+        uint64_t ticket = 0;
+        ServeRequest req; ///< kSubmit only
+        /** Routing generation (sharded router failover): a consumer
+            drops a kSubmit whose epoch no longer matches the stream's
+            — the ticket was re-owned by failover while this command
+            sat in a dead shard's ring. */
+        uint64_t route_epoch = 0;
+    };
+
+    explicit SubmitRing(size_t capacity);
+
+    /** Lock-free producer push; false when the ring is full. */
+    bool tryPush(Cmd &&cmd);
+
+    /** Single-consumer pop; false when the ring is empty. */
+    bool tryPop(Cmd &out);
+
+    size_t capacity() const { return buf_.size(); }
+
+  private:
+    struct Slot
+    {
+        std::atomic<uint64_t> seq;
+        Cmd cmd;
+    };
+
+    std::vector<Slot> buf_;
+    uint64_t mask_ = 0;
+    alignas(64) std::atomic<uint64_t> head_{0}; ///< producers (CAS)
+    alignas(64) uint64_t tail_ = 0; ///< consumer-only cursor
+};
 
 /** How the router picks a shard for a new request. */
 enum class RoutePolicy
@@ -191,7 +250,7 @@ size_t affinityShard(const std::vector<int> &prompt, size_t page_tokens,
                      size_t affinity_pages, size_t num_shards);
 
 /** Sharded multi-engine front end (see file header). */
-class ShardedFrontEnd : public ServingClient
+class ShardedFrontEnd
 {
   public:
     ShardedFrontEnd(const Transformer &model, QuantConfig qc,
@@ -199,29 +258,40 @@ class ShardedFrontEnd : public ServingClient
 
     /** Drains every outstanding ticket on every shard, then stops and
         joins the supervisor and shard threads. */
-    ~ShardedFrontEnd() override;
+    ~ShardedFrontEnd();
 
     ShardedFrontEnd(const ShardedFrontEnd &) = delete;
     ShardedFrontEnd &operator=(const ShardedFrontEnd &) = delete;
 
-    // ServingClient surface — semantics identical to AsyncFrontEnd's
-    // (tickets, streams, outcomes); only the engine count differs.
-    uint64_t submit(ServeRequest req) override;
-    bool cancel(uint64_t ticket) override;
-    bool nextToken(uint64_t ticket, int *token) override;
-    RequestOutcome wait(uint64_t ticket) override;
-    const RequestStats &stats(uint64_t ticket) override;
-    void drain() override;
+    /** Enqueue a request; returns its ticket immediately. Tokens
+        stream through nextToken(), the terminal outcome through
+        wait(). */
+    uint64_t submit(ServeRequest req);
+    /** Request cancellation; false when the ticket is unknown or its
+        stream already closed (the caller gets the completed answer). */
+    bool cancel(uint64_t ticket);
+    /** Blocking pop of the next streamed token; false once the stream
+        is closed AND every token has been delivered. */
+    bool nextToken(uint64_t ticket, int *token);
+    /** Block until the ticket is terminal; returns its outcome. */
+    RequestOutcome wait(uint64_t ticket);
+    /** Final per-request stats (a copy taken at termination — never a
+        view into live engine memory). Blocks until terminal. */
+    const RequestStats &stats(uint64_t ticket);
+    /** Block until every submitted ticket is terminal and the fleet
+        stats are merged. */
+    void drain();
     /** Merged fleet view (see file header). Valid after drain(). */
-    const EngineStats &engineStats() const override;
+    const EngineStats &engineStats() const;
 
     /**
      * Drain-and-re-route (the GRACEFUL path): seal shard @p shard
-     * against new routes, let its thread publish everything already
-     * finished, cancel the rest on its engine WITHOUT publishing those
-     * terminals, re-submit each unfinished ticket to a live shard
-     * (restart — bit-exact, see file header), finalize the shard's
-     * stats and join its thread. Blocks until the shard is fully
+     * against new routes; its thread publishes everything already
+     * finished, cancels the rest on its engine WITHOUT publishing those
+     * terminals, finalizes the shard's stats and exits; then every
+     * unfinished ticket it owned is re-owned by a live shard (restart —
+     * bit-exact, see file header) through the same registry pass
+     * failShard() uses. Blocks until the shard is fully
      * retired. Returns false (and does nothing) when @p shard is
      * unknown, already retired/failed, or the last live shard. A
      * ticket whose cancel flag is set at re-route time still
@@ -286,8 +356,8 @@ class ShardedFrontEnd : public ServingClient
     bool auditInvariants() const;
 
   private:
-    /** Per-ticket hand-off cell (AsyncFrontEnd::Stream plus routing
-        state). The stream mutex `mu` guards delivery (`pending`,
+    /** Per-ticket hand-off cell between the shard threads and one
+        consumer. The stream mutex `mu` guards delivery (`pending`,
         `done`, `outcome`, `final_stats`, `published`); `route_mu`
         serializes ROUTING (`routed_to`, and every route_epoch bump —
         the epoch is atomic so publish paths can read it under `mu`
@@ -313,15 +383,15 @@ class ShardedFrontEnd : public ServingClient
         ServeRequest req;
 
         /** Routing generation: a shard-side copy (ring command or
-            live-list entry) whose epoch no longer matches is a
-            failover orphan and must be dropped unpublished. */
+            live-list entry) whose epoch no longer matches was re-owned
+            (retire or failover) and must be dropped unpublished. */
         std::atomic<uint64_t> route_epoch{0};
         /** Serializes routing decisions for this ticket (submit,
-            re-route, failover scan). Ordered after retire_mu_, before
+            re-route, re-own scan). Ordered after retire_mu_, before
             the stream mutex. */
         std::mutex route_mu;
         /** Owning shard per the ROUTER's records (under route_mu) —
-            the failover scan key. SIZE_MAX = never routed / refused. */
+            the re-own scan key. SIZE_MAX = never routed / refused. */
         size_t routed_to = SIZE_MAX;
     };
 
@@ -359,7 +429,6 @@ class ShardedFrontEnd : public ServingClient
         /** Crash-failed (vs gracefully retired): engine aggregates
             are excluded from the fleet merge and audits. */
         std::atomic<bool> failed{false};
-        bool retired = false; ///< no longer serving (retired OR failed)
         /** Crash-fired or crash-failed at least once (guarded by
             crash_mu_); the doom cap keeps one shard that is neither. */
         bool doomed = false;
@@ -407,7 +476,13 @@ class ShardedFrontEnd : public ServingClient
     void routeTicket(uint64_t ticket, const std::shared_ptr<Stream> &s);
     /** Close @p s terminally as kShed (bounded-wait refusal) and
         settle the drain ledger. Caller holds s->route_mu. */
-    void refuseTicket(uint64_t ticket, const std::shared_ptr<Stream> &s);
+    void refuseTicket(const std::shared_ptr<Stream> &s);
+    /** The re-own pass retireShard() and failShard() share: every
+        unfinished ticket the router's records say @p shard owns gets
+        its route_epoch bumped (fencing out any late copy on the old
+        shard) and is routed to a live shard. Caller holds retire_mu_
+        with @p shard sealed. Returns the tickets re-routed. */
+    size_t reownTickets(size_t shard);
 
     void shardLoop(size_t shard);
     size_t drainShardRing(Shard &sh);
@@ -431,9 +506,6 @@ class ShardedFrontEnd : public ServingClient
         crash-failed), idempotently; false = the doom cap is reached
         and dooming this shard would leave no intact shard. */
     bool reserveDoomLocked(size_t shard);
-    /** The retireShard() shard-thread half: final ring sweep, publish,
-        cancel-without-publish, re-route, finalize. */
-    void retireDrain(size_t shard);
     /** Under done_mu_: mark shard @p shard's aggregates finalized and
         merge if the fleet is idle and clean. */
     void markCleanAndMaybeReady(size_t shard);
@@ -473,8 +545,9 @@ class ShardedFrontEnd : public ServingClient
     bool sup_stop_ = false;
     std::thread supervisor_;
 
-    // Ticket registry (append-only under registry_mu_, exactly like
-    // AsyncFrontEnd's).
+    // Ticket registry: tickets index this vector. Append-only under
+    // registry_mu_; the shared_ptr keeps a stream alive for late
+    // stats() readers.
     mutable std::mutex registry_mu_;
     std::vector<std::shared_ptr<Stream>> streams_;
 

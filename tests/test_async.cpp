@@ -1,15 +1,17 @@
 /**
  * @file
- * Tests for the async serving front end (serve/async_engine.h): the
- * lock-free MPSC submit ring, concurrent multi-producer submit/cancel
- * stress against the bit-identical-streams invariant, per-request
- * streaming semantics, drain/stats hand-off, and the decode worker
- * pool's bit-identity (EngineOptions::num_threads).
+ * Tests for the single-engine deployment of the serving front end
+ * (serve/router.h, ShardedFrontEnd with num_shards = 1): the lock-free
+ * MPSC submit ring, concurrent multi-producer submit/cancel stress
+ * against the bit-identical-streams invariant, per-request streaming
+ * semantics, drain/stats hand-off, and the decode worker pool's
+ * bit-identity (EngineOptions::num_threads).
  *
  * The load-bearing claims, each asserted per quantization format:
- *  - A request's token stream through AsyncFrontEnd is bit-identical
- *    to submitting the same ServeRequest to a plain ServingEngine,
- *    regardless of how many producer threads raced on submission.
+ *  - A request's token stream through the one-shard front end is
+ *    bit-identical to submitting the same ServeRequest to a plain
+ *    ServingEngine, regardless of how many producer threads raced on
+ *    submission.
  *  - Cancelled requests deliver a bit-exact PREFIX of their
  *    uncancelled stream.
  *  - num_threads > 1 changes throughput only: streams are bit-equal
@@ -26,7 +28,7 @@
 #include <vector>
 
 #include "common/worker_pool.h"
-#include "serve/async_engine.h"
+#include "serve/router.h"
 #include "serve/serving_engine.h"
 
 namespace mxplus {
@@ -63,6 +65,54 @@ makeRequests(size_t n)
 }
 
 const char *const kFormats[] = {"BF16", "MXFP8", "MXFP4+"};
+
+/** The single-engine deployment: one shard, and submits that wait for
+    ring space as long as it takes (no bounded-wait refusals). */
+RouterOptions
+oneShard()
+{
+    RouterOptions router;
+    router.num_shards = 1;
+    router.submit_timeout_ms = 0.0;
+    return router;
+}
+
+/** Field-for-field equality of two aggregate stats blocks. */
+void
+expectSameStats(const EngineStats &a, const EngineStats &b)
+{
+    EXPECT_DOUBLE_EQ(a.wall_ms, b.wall_ms);
+    EXPECT_EQ(a.total_generated, b.total_generated);
+    EXPECT_DOUBLE_EQ(a.throughput_tokens_per_s, b.throughput_tokens_per_s);
+    EXPECT_EQ(a.decode_batches, b.decode_batches);
+    EXPECT_DOUBLE_EQ(a.decode_ms, b.decode_ms);
+    EXPECT_EQ(a.decode_tokens, b.decode_tokens);
+    EXPECT_DOUBLE_EQ(a.decode_tokens_per_s, b.decode_tokens_per_s);
+    EXPECT_DOUBLE_EQ(a.mean_batch_occupancy, b.mean_batch_occupancy);
+    EXPECT_EQ(a.kv_bytes_peak, b.kv_bytes_peak);
+    EXPECT_EQ(a.kv_bytes_reserved_peak, b.kv_bytes_reserved_peak);
+    EXPECT_EQ(a.kv_pages_peak, b.kv_pages_peak);
+    EXPECT_EQ(a.prefill_chunks, b.prefill_chunks);
+    EXPECT_EQ(a.admission_deferred_steps, b.admission_deferred_steps);
+    EXPECT_EQ(a.prefix_hit_requests, b.prefix_hit_requests);
+    EXPECT_EQ(a.prefix_hit_tokens, b.prefix_hit_tokens);
+    EXPECT_EQ(a.prefix_inserted_tokens, b.prefix_inserted_tokens);
+    EXPECT_EQ(a.prefix_evicted_pages, b.prefix_evicted_pages);
+    EXPECT_EQ(a.sjf_reorders, b.sjf_reorders);
+    EXPECT_EQ(a.rejected_requests, b.rejected_requests);
+    EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.preempted_recompute_tokens, b.preempted_recompute_tokens);
+    EXPECT_DOUBLE_EQ(a.queue_wait_ms_p50, b.queue_wait_ms_p50);
+    EXPECT_DOUBLE_EQ(a.queue_wait_ms_p99, b.queue_wait_ms_p99);
+    EXPECT_EQ(a.shed_requests, b.shed_requests);
+    EXPECT_EQ(a.timed_out_requests, b.timed_out_requests);
+    EXPECT_EQ(a.cancelled_requests, b.cancelled_requests);
+    EXPECT_EQ(a.checksum_failures, b.checksum_failures);
+    EXPECT_EQ(a.admitted_before_first_defer, b.admitted_before_first_defer);
+    EXPECT_DOUBLE_EQ(a.compressed_ratio, b.compressed_ratio);
+    EXPECT_EQ(a.codec_decode_calls, b.codec_decode_calls);
+    EXPECT_DOUBLE_EQ(a.goodput_ok_fraction, b.goodput_ok_fraction);
+}
 
 // ------------------------------------------------------------ SubmitRing --
 
@@ -128,9 +178,9 @@ TEST(SubmitRing, CapacityRoundsUpAndFullRingRefuses)
     EXPECT_TRUE(ring.tryPush(std::move(again))); // slot recycled
 }
 
-// --------------------------------------------- async vs serial bit-equal --
+// ------------------------------------------ front end vs serial bit-equal --
 
-TEST(AsyncFrontEnd, ConcurrentSubmitStreamsBitEqualSerialEveryFormat)
+TEST(SingleShardFrontEnd, ConcurrentSubmitStreamsBitEqualSerialEveryFormat)
 {
     const Transformer model(tinyConfig());
     const auto reqs = makeRequests(12);
@@ -149,8 +199,8 @@ TEST(AsyncFrontEnd, ConcurrentSubmitStreamsBitEqualSerialEveryFormat)
             gids.push_back(golden.submit(r));
         golden.runToCompletion();
 
-        // Async: kProducers threads race their disjoint slices in.
-        AsyncFrontEnd fe(model, qc, opts);
+        // Front end: kProducers threads race their disjoint slices in.
+        ShardedFrontEnd fe(model, qc, opts, oneShard());
         std::vector<uint64_t> tickets(reqs.size());
         std::vector<std::thread> producers;
         for (size_t p = 0; p < kProducers; ++p) {
@@ -179,20 +229,25 @@ TEST(AsyncFrontEnd, ConcurrentSubmitStreamsBitEqualSerialEveryFormat)
         // Post-drain the engine must be idle and clean: no leaked
         // pages, invariants audited across pool/index/scheduler.
         EXPECT_TRUE(fe.auditInvariants());
-        EXPECT_EQ(fe.engine().kvBytesLive(), 0u);
-        EXPECT_EQ(fe.engine().activeRequests(), 0u);
+        EXPECT_EQ(fe.shardEngine(0).kvBytesLive(), 0u);
+        EXPECT_EQ(fe.shardEngine(0).activeRequests(), 0u);
         EXPECT_EQ(fe.engineStats().total_generated,
                   golden.engineStats().total_generated);
+        // The fleet merge at N = 1 is the engine's own stats: no
+        // preemption and no shedding here, so the per-ticket
+        // recomputations (outcomes, goodput, queue-wait percentiles,
+        // total_generated) must agree with the engine exactly.
+        expectSameStats(fe.engineStats(), fe.shardEngine(0).engineStats());
     }
 }
 
-TEST(AsyncFrontEnd, NextTokenStreamsTheExactFinalSequence)
+TEST(SingleShardFrontEnd, NextTokenStreamsTheExactFinalSequence)
 {
     const Transformer model(tinyConfig());
     const QuantConfig qc = QuantConfig::fromFormat("MXFP4+");
     EngineOptions opts;
     opts.max_batch = 2;
-    AsyncFrontEnd fe(model, qc, opts);
+    ShardedFrontEnd fe(model, qc, opts, oneShard());
 
     const auto reqs = makeRequests(4);
     std::vector<uint64_t> tickets;
@@ -224,7 +279,7 @@ TEST(AsyncFrontEnd, NextTokenStreamsTheExactFinalSequence)
 
 // ---------------------------------------------------------- cancellation --
 
-TEST(AsyncFrontEnd, ConcurrentCancelDeliversBitExactPrefix)
+TEST(SingleShardFrontEnd, ConcurrentCancelDeliversBitExactPrefix)
 {
     const Transformer model(tinyConfig());
     const QuantConfig qc = QuantConfig::fromFormat("MXFP8");
@@ -244,7 +299,7 @@ TEST(AsyncFrontEnd, ConcurrentCancelDeliversBitExactPrefix)
     // Submit many copies; a racing canceller thread kills every other
     // one at staggered points while producers are still submitting.
     constexpr size_t kCopies = 8;
-    AsyncFrontEnd fe(model, qc, opts);
+    ShardedFrontEnd fe(model, qc, opts, oneShard());
     std::vector<uint64_t> tickets(kCopies);
     std::atomic<size_t> submitted{0};
     std::thread producer([&] {
@@ -281,7 +336,7 @@ TEST(AsyncFrontEnd, ConcurrentCancelDeliversBitExactPrefix)
             EXPECT_EQ(rs.outcome, RequestOutcome::kCancelled);
     }
     EXPECT_TRUE(fe.auditInvariants());
-    EXPECT_EQ(fe.engine().kvBytesLive(), 0u);
+    EXPECT_EQ(fe.shardEngine(0).kvBytesLive(), 0u);
 
     // Cancel after completion reports false (the request already won).
     EXPECT_FALSE(fe.cancel(tickets[1]));
@@ -291,16 +346,16 @@ TEST(AsyncFrontEnd, ConcurrentCancelDeliversBitExactPrefix)
 
 // ---------------------------------------------------------- backpressure --
 
-TEST(AsyncFrontEnd, TinyRingBackpressuresWithoutLosingRequests)
+TEST(SingleShardFrontEnd, TinyRingBackpressuresWithoutLosingRequests)
 {
     const Transformer model(tinyConfig());
     const QuantConfig qc = QuantConfig::fromFormat("BF16");
     EngineOptions opts;
     opts.max_batch = 2;
-    AsyncOptions async;
-    async.ring_capacity = 2; // every burst overflows the ring
+    RouterOptions router = oneShard();
+    router.ring_capacity = 2; // every burst overflows the ring
 
-    AsyncFrontEnd fe(model, qc, opts, async);
+    ShardedFrontEnd fe(model, qc, opts, router);
     const auto reqs = makeRequests(10);
     std::vector<uint64_t> tickets(reqs.size());
     std::vector<std::thread> producers;
@@ -324,11 +379,11 @@ TEST(AsyncFrontEnd, TinyRingBackpressuresWithoutLosingRequests)
 
 // ------------------------------------------------- drain/reuse semantics --
 
-TEST(AsyncFrontEnd, DrainIsReusableAndIdleDrainReturnsImmediately)
+TEST(SingleShardFrontEnd, DrainIsReusableAndIdleDrainReturnsImmediately)
 {
     const Transformer model(tinyConfig());
     const QuantConfig qc = QuantConfig::fromFormat("BF16");
-    AsyncFrontEnd fe(model, qc, EngineOptions{});
+    ShardedFrontEnd fe(model, qc, EngineOptions{}, oneShard());
 
     fe.drain(); // nothing submitted: must not hang
     EXPECT_EQ(fe.engineStats().total_generated, 0u);
@@ -349,7 +404,7 @@ TEST(AsyncFrontEnd, DrainIsReusableAndIdleDrainReturnsImmediately)
     EXPECT_EQ(fe.engineStats().total_generated, 10u);
 }
 
-TEST(AsyncFrontEnd, DestructorDrainsOutstandingWork)
+TEST(SingleShardFrontEnd, DestructorDrainsOutstandingWork)
 {
     const Transformer model(tinyConfig());
     const QuantConfig qc = QuantConfig::fromFormat("BF16");
@@ -358,11 +413,11 @@ TEST(AsyncFrontEnd, DestructorDrainsOutstandingWork)
     r.max_new_tokens = 6;
 
     {
-        AsyncFrontEnd fe(model, qc, EngineOptions{});
+        ShardedFrontEnd fe(model, qc, EngineOptions{}, oneShard());
         fe.submit(r);
         fe.submit(r);
         // Destroyed with both requests in flight: the destructor must
-        // finish them (nothing dropped), then join the engine thread.
+        // finish them (nothing dropped), then join the shard thread.
     }
     SUCCEED();
 }
@@ -410,7 +465,7 @@ TEST(WorkerPoolDecode, MultiThreadStreamsBitEqualSerialEveryFormat)
     }
 }
 
-TEST(WorkerPoolDecode, AsyncEngineWithWorkersBitEqualToo)
+TEST(WorkerPoolDecode, FrontEndWithWorkersBitEqualToo)
 {
     // The full stack at once: concurrent producers + worker-pool
     // decode vs the plain serial engine.
@@ -428,7 +483,7 @@ TEST(WorkerPoolDecode, AsyncEngineWithWorkersBitEqualToo)
 
     EngineOptions threaded = serial;
     threaded.num_threads = 2;
-    AsyncFrontEnd fe(model, qc, threaded);
+    ShardedFrontEnd fe(model, qc, threaded, oneShard());
     std::vector<uint64_t> tickets(reqs.size());
     std::vector<std::thread> producers;
     for (size_t p = 0; p < 2; ++p) {

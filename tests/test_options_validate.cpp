@@ -4,10 +4,9 @@
  * RouterOptions::validate: every knob combination the engine cannot
  * honour must come back as a descriptive error STRING from validate()
  * — callers can refuse configurations up front instead of tripping a
- * deep CHECK-abort inside KvCache or the scheduler. The front ends
- * (AsyncFrontEnd, ShardedFrontEnd) call the same validators at
- * construction, so these strings are exactly what a misconfigured
- * deployment reports.
+ * deep CHECK-abort inside KvCache or the scheduler. The front end
+ * (ShardedFrontEnd) calls the same validators at construction, so
+ * these strings are exactly what a misconfigured deployment reports.
  */
 
 #include <gtest/gtest.h>

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the sharded serving router (serve/router.h): the
- * prefix-affinity routing function, ShardedFrontEnd driven through the
- * abstract ServingClient surface, and the canonical invariant extended
+ * prefix-affinity routing function, ShardedFrontEnd driven through its
+ * client surface, and the canonical invariant extended
  * to sharding — every completed stream is bit-identical to a
  * single-engine golden run in every format, including under forced
  * re-routing (retireShard), racing submits/cancels, per-shard chaos
@@ -33,10 +33,8 @@
 #include <thread>
 #include <vector>
 
-#include "serve/async_engine.h"
 #include "serve/health.h"
 #include "serve/router.h"
-#include "serve/serving_client.h"
 #include "serve/serving_engine.h"
 
 namespace mxplus {
@@ -95,10 +93,11 @@ makeSharedPrefixRequests(size_t groups, size_t per, size_t page_tokens,
     return reqs;
 }
 
-/** Drive @p reqs through any ServingClient: submit all, drain, return
+/** Drive @p reqs through a front end: submit all, drain, return
     final per-request stats copies in submission order. */
 std::vector<RequestStats>
-runThroughClient(ServingClient &client, const std::vector<ServeRequest> &reqs)
+runThroughClient(ShardedFrontEnd &client,
+                 const std::vector<ServeRequest> &reqs)
 {
     std::vector<uint64_t> tickets;
     tickets.reserve(reqs.size());
@@ -153,43 +152,6 @@ TEST(Router, AffinityShardIsAPureFunctionOfPrefixPages)
     const std::vector<int> shorty = tokenRamp(7, 3);
     EXPECT_EQ(affinityShard(shorty, pt, 4, 8),
               affinityShard(shorty, pt, 4, 8));
-}
-
-// ----------------------------------- single shard == AsyncFrontEnd, per format
-
-TEST(Router, SingleShardBitEqualsAsyncFrontEndEveryFormat)
-{
-    const Transformer model(tinyConfig());
-    const auto reqs = makeRequests(10);
-
-    for (const char *fmt : kFormats) {
-        SCOPED_TRACE(fmt);
-        const QuantConfig qc = QuantConfig::fromFormat(fmt);
-        EngineOptions opts;
-        opts.max_batch = 3;
-
-        AsyncFrontEnd async_fe(model, qc, opts);
-        RouterOptions router;
-        router.num_shards = 1;
-        ShardedFrontEnd sharded_fe(model, qc, opts, router);
-
-        // Both front ends speak ServingClient — the redesigned API is
-        // exercised exactly as a client library would use it.
-        const auto a = runThroughClient(async_fe, reqs);
-        const auto s = runThroughClient(sharded_fe, reqs);
-
-        ASSERT_EQ(a.size(), s.size());
-        for (size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].outcome, RequestOutcome::kCompleted);
-            EXPECT_EQ(s[i].outcome, RequestOutcome::kCompleted);
-            EXPECT_EQ(a[i].generated, s[i].generated) << "req " << i;
-        }
-        EXPECT_TRUE(sharded_fe.auditInvariants());
-        EXPECT_EQ(sharded_fe.shardEngine(0).kvBytesLive(), 0u);
-        EXPECT_EQ(sharded_fe.engineStats().total_generated,
-                  async_fe.engineStats().total_generated);
-        EXPECT_DOUBLE_EQ(sharded_fe.engineStats().goodput_ok_fraction, 1.0);
-    }
 }
 
 // ------------------------------------- 4 shards == single golden, per format
