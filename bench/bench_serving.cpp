@@ -77,14 +77,16 @@
  * both routing policies, next to a single-engine reference, a
  * crash-failover run (one shard killed mid-run, its in-flight requests
  * re-submitted to the survivors) and a live threaded ShardedFrontEnd
- * run. The serial fleet rows run on the virtual clock (deterministic,
- * gated: ttft_p50_ms and kv_bytes_peak; for the failover row,
- * ttft_p99_ms and goodput_ok_fraction — the rerouted tail and the
- * requirement that a crash never loses a request); the
- * affinity-vs-round-robin delta is the router's headline — one
- * physical prefix copy per family instead of one per family per shard.
- * All five variants' token streams are verified bit-identical before
- * any number is emitted.
+ * run. The serial fleet rows come from one lock-step runner on the
+ * virtual clock (deterministic, gated: ttft_p50_ms and kv_bytes_peak;
+ * for the failover row, ttft_p99_ms and goodput_ok_fraction — the
+ * rerouted tail and the requirement that a crash never loses a
+ * request) and merge their stats with the live router's
+ * mergeFleetStats, so every fleet row reports the same fields the same
+ * way; the affinity-vs-round-robin delta is the router's headline —
+ * one physical prefix copy per family instead of one per family per
+ * shard. Every variant's token streams are verified bit-identical
+ * before any number is emitted.
  *
  * Usage: bench_serving [--quick] [--out FILE]
  *
@@ -117,34 +119,16 @@ struct RunResult
     std::string workload; // "uniform" / "mixed" / "mixed-budget"
     size_t batch = 0;
     size_t requests = 0;
-    double throughput_tok_s = 0.0;
-    double decode_tok_s = 0.0;
+    size_t num_threads = 1;    ///< EngineOptions::num_threads of the run
+    double offered_rps = 0.0;  ///< poisson rows only: open-loop rate
+    /** Aggregate stats the row prints (fleet rows: mergeFleetStats). */
+    EngineStats stats;
     double ttft_p50_ms = 0.0;
     double ttft_p99_ms = 0.0;
     double token_p50_ms = 0.0;
     double token_p99_ms = 0.0;
-    double mean_batch_occupancy = 0.0;
-    size_t kv_bytes_peak = 0;
-    size_t kv_pages_peak = 0;
     size_t kv_bytes_reserved_worst = 0;
-    size_t prefill_chunks = 0;
-    size_t admission_deferred_steps = 0;
-    size_t prefix_hit_tokens = 0;
-    size_t preemptions = 0;
-    size_t preempted_recompute_tokens = 0;
-    double queue_wait_ms_p50 = 0.0;
-    double queue_wait_ms_p99 = 0.0;
-    size_t shed = 0;
-    size_t timed_out = 0;
-    size_t cancelled = 0;
-    size_t checksum_failures = 0;
-    size_t kv_bytes_reserved_peak = 0;
-    double compressed_ratio = 1.0;
-    size_t admitted_before_first_defer = 0;
-    double goodput_ok_fraction = 0.0;
     double speedup_vs_batch1 = 0.0;
-    size_t num_threads = 1;    ///< EngineOptions::num_threads of the run
-    double offered_rps = 0.0;  ///< poisson rows only: open-loop rate
     std::vector<std::vector<int>> streams; ///< per-request tokens
 };
 
@@ -345,37 +329,48 @@ mixedWorkload(size_t requests)
     return reqs;
 }
 
+/** A row's identity: format, traffic shape and engine geometry. */
+RunResult
+newResult(const std::string &format, const std::string &workload_name,
+          const std::vector<ServeRequest> &reqs, const EngineOptions &opts)
+{
+    RunResult res;
+    res.format = format;
+    res.workload = workload_name;
+    res.batch = opts.max_batch;
+    res.requests = reqs.size();
+    res.num_threads = opts.num_threads;
+    return res;
+}
+
+/** KV bytes per-request worst-case contiguous caches would pin for
+    @p reqs on @p engine's page geometry (kv_bytes_reserved_worst). */
+size_t
+reservedWorstBytes(const ServingEngine &engine, const Transformer &model,
+                   const std::vector<ServeRequest> &reqs)
+{
+    const size_t pt = engine.pool().pageTokens();
+    const size_t page_bytes = engine.pool().pageBytes();
+    const size_t layers = model.config().n_layers;
+    size_t bytes = 0;
+    for (const auto &req : reqs) {
+        const size_t tokens = req.prompt.size() + req.max_new_tokens;
+        bytes += (tokens + pt - 1) / pt * layers * page_bytes;
+    }
+    return bytes;
+}
+
 /**
  * Copy aggregate @p es and the per-request results (@p per_request, in
- * request order) into @p res: shared by collectResult and the live
- * front-end runner, so every traffic shape reports the same schema.
+ * request order) into @p res: shared by every runner, so every traffic
+ * shape reports the same schema.
  */
 void
 fillResult(const EngineStats &es,
            const std::vector<const RequestStats *> &per_request,
            RunResult &res)
 {
-    res.throughput_tok_s = es.throughput_tokens_per_s;
-    res.decode_tok_s = es.decode_tokens_per_s;
-    res.mean_batch_occupancy = es.mean_batch_occupancy;
-    res.kv_bytes_peak = es.kv_bytes_peak;
-    res.kv_pages_peak = es.kv_pages_peak;
-    res.prefill_chunks = es.prefill_chunks;
-    res.admission_deferred_steps = es.admission_deferred_steps;
-    res.prefix_hit_tokens = es.prefix_hit_tokens;
-    res.preemptions = es.preemptions;
-    res.preempted_recompute_tokens = es.preempted_recompute_tokens;
-    res.queue_wait_ms_p50 = es.queue_wait_ms_p50;
-    res.queue_wait_ms_p99 = es.queue_wait_ms_p99;
-    res.shed = es.shed_requests;
-    res.timed_out = es.timed_out_requests;
-    res.cancelled = es.cancelled_requests;
-    res.checksum_failures = es.checksum_failures;
-    res.kv_bytes_reserved_peak = es.kv_bytes_reserved_peak;
-    res.compressed_ratio = es.compressed_ratio;
-    res.admitted_before_first_defer = es.admitted_before_first_defer;
-    res.goodput_ok_fraction = es.goodput_ok_fraction;
-
+    res.stats = es;
     std::vector<double> ttfts;
     std::vector<double> token_ms;
     for (const RequestStats *rs : per_request) {
@@ -404,22 +399,8 @@ collectResult(const ServingEngine &engine, const Transformer &model,
               const std::vector<ServeRequest> &reqs,
               const std::vector<size_t> &ids, const EngineOptions &opts)
 {
-    const size_t pt = engine.pool().pageTokens();
-    const size_t page_bytes = engine.pool().pageBytes();
-    const size_t layers = model.config().n_layers;
-    size_t reserved_worst = 0;
-    for (const auto &req : reqs) {
-        const size_t tokens = req.prompt.size() + req.max_new_tokens;
-        reserved_worst += (tokens + pt - 1) / pt * layers * page_bytes;
-    }
-
-    RunResult res;
-    res.format = format;
-    res.workload = workload_name;
-    res.batch = opts.max_batch;
-    res.requests = reqs.size();
-    res.num_threads = opts.num_threads;
-    res.kv_bytes_reserved_worst = reserved_worst;
+    RunResult res = newResult(format, workload_name, reqs, opts);
+    res.kv_bytes_reserved_worst = reservedWorstBytes(engine, model, reqs);
     std::vector<const RequestStats *> per_request;
     for (size_t id : ids)
         per_request.push_back(&engine.stats(id));
@@ -581,11 +562,7 @@ runFrontEnd(const Transformer &model, const std::string &format,
         t.join();
     fe.drain();
 
-    RunResult res;
-    res.format = format;
-    res.workload = workload_name;
-    res.batch = opts.max_batch;
-    res.requests = reqs.size();
+    RunResult res = newResult(format, workload_name, reqs, opts);
     res.num_threads = router.num_shards * opts.num_threads;
     std::vector<const RequestStats *> per_request;
     for (uint64_t t : tickets)
@@ -595,145 +572,33 @@ runFrontEnd(const Transformer &model, const std::string &format,
 }
 
 /**
- * Deterministic sharded-fleet simulation: each request goes to the
- * shard @p shard_of says, then the per-shard engines run serially in
- * lock-step on the shared virtual clock (every engine steps once per
- * tick until the whole fleet is drained). No threads anywhere, so the
- * rows are a pure function of (workload, routing policy) and
- * tools/check_bench.py can gate their ttft_p50_ms / kv_bytes_peak on
- * any machine. Fleet aggregation: peaks and counters sum across
- * shards (shards are concurrent in simulated time), latency
- * percentiles pool every request's virtual-clock timings.
+ * Deterministic sharded-fleet simulation on the virtual clock: each
+ * request goes to the shard @p shard_of says, then the per-shard
+ * engines run serially in lock-step — every live shard steps once per
+ * tick, idle or not, so the shards' virtual clocks stay aligned with
+ * the shared tick count and their summed rates describe one concurrent
+ * run. When @p kill_shard names a shard, it crashes at @p kill_tick: it
+ * never steps again, its aggregate stats are abandoned, and every
+ * request it had not finished is re-submitted (from the router-side
+ * request copies) to the least-loaded survivor, the serial twin of
+ * ShardedFrontEnd::failShard. Restart-is-bit-exact makes the
+ * survivor's regenerated stream THE stream; requests the victim
+ * finished before the crash keep their streams and timings. The row
+ * merges exactly like the live router: mergeFleetStats over the live
+ * shards' stats and every request's final stats. No threads anywhere,
+ * so the rows are a pure function of (workload, placement, crash) and
+ * tools/check_bench.py gates their ttft_p50_ms / kv_bytes_peak on any
+ * machine — plus, for the failover row, ttft_p99_ms (the rerouted
+ * tail includes the re-prefill on the survivor) and
+ * goodput_ok_fraction (a crash must never lose a request).
  */
 RunResult
 runShardedSim(const Transformer &model, const std::string &format,
               const std::string &workload_name,
               const std::vector<ServeRequest> &reqs,
               const std::vector<size_t> &shard_of, size_t num_shards,
-              EngineOptions opts)
-{
-    const QuantConfig qc = QuantConfig::fromFormat(format);
-    std::vector<std::unique_ptr<ServingEngine>> shards;
-    for (size_t s = 0; s < num_shards; ++s)
-        shards.emplace_back(new ServingEngine(model, qc, opts));
-    std::vector<size_t> ids(reqs.size());
-    for (size_t r = 0; r < reqs.size(); ++r)
-        ids[r] = shards[shard_of[r]]->submit(reqs[r]);
-
-    size_t steps = 0;
-    bool busy = true;
-    while (busy) {
-        busy = false;
-        for (auto &sh : shards) {
-            if (sh->queuedRequests() > 0 || sh->activeRequests() > 0) {
-                sh->step();
-                busy = true;
-            }
-        }
-        if (++steps > kMaxBenchSteps) {
-            std::fprintf(stderr,
-                         "bench_serving: FATAL %s %s did not drain "
-                         "within %zu steps — scheduler livelock\n",
-                         format.c_str(), workload_name.c_str(),
-                         kMaxBenchSteps);
-            std::exit(1);
-        }
-    }
-    for (auto &sh : shards)
-        sh->runToCompletion(1); // finalize aggregate stats
-
-    RunResult res;
-    res.format = format;
-    res.workload = workload_name;
-    res.batch = opts.max_batch;
-    res.requests = reqs.size();
-    res.num_threads = opts.num_threads;
-    const size_t pt = shards[0]->pool().pageTokens();
-    const size_t page_bytes = shards[0]->pool().pageBytes();
-    const size_t layers = model.config().n_layers;
-    for (const auto &req : reqs) {
-        const size_t tokens = req.prompt.size() + req.max_new_tokens;
-        res.kv_bytes_reserved_worst +=
-            (tokens + pt - 1) / pt * layers * page_bytes;
-    }
-    double occupancy_weight = 0.0;
-    double ratio_sum = 0.0;
-    for (const auto &sh : shards) {
-        const EngineStats &es = sh->engineStats();
-        res.throughput_tok_s += es.throughput_tokens_per_s;
-        res.decode_tok_s += es.decode_tokens_per_s;
-        res.mean_batch_occupancy +=
-            es.mean_batch_occupancy * static_cast<double>(es.total_generated);
-        occupancy_weight += static_cast<double>(es.total_generated);
-        res.kv_bytes_peak += es.kv_bytes_peak;
-        res.kv_pages_peak += es.kv_pages_peak;
-        res.prefill_chunks += es.prefill_chunks;
-        res.admission_deferred_steps += es.admission_deferred_steps;
-        res.prefix_hit_tokens += es.prefix_hit_tokens;
-        res.preemptions += es.preemptions;
-        res.preempted_recompute_tokens += es.preempted_recompute_tokens;
-        res.shed += es.shed_requests;
-        res.timed_out += es.timed_out_requests;
-        res.cancelled += es.cancelled_requests;
-        res.checksum_failures += es.checksum_failures;
-        res.kv_bytes_reserved_peak += es.kv_bytes_reserved_peak;
-        res.admitted_before_first_defer += es.admitted_before_first_defer;
-        ratio_sum += es.compressed_ratio;
-    }
-    if (occupancy_weight > 0.0)
-        res.mean_batch_occupancy /= occupancy_weight;
-    // Every shard sees the same traffic mix, so the plain mean is an
-    // honest fleet-level compression figure.
-    res.compressed_ratio = ratio_sum / static_cast<double>(num_shards);
-
-    std::vector<double> ttfts;
-    std::vector<double> token_ms;
-    size_t completed = 0;
-    for (size_t r = 0; r < reqs.size(); ++r) {
-        const RequestStats &rs = shards[shard_of[r]]->stats(ids[r]);
-        res.streams.push_back(rs.generated);
-        if (rs.outcome == RequestOutcome::kCompleted)
-            ++completed;
-        if (rs.generated.empty())
-            continue;
-        ttfts.push_back(rs.ttft_ms);
-        token_ms.insert(token_ms.end(), rs.token_ms.begin(),
-                        rs.token_ms.end());
-    }
-    res.goodput_ok_fraction =
-        reqs.empty() ? 0.0
-                     : static_cast<double>(completed) / reqs.size();
-    res.ttft_p50_ms = latencyPercentile(ttfts, 0.50);
-    res.ttft_p99_ms = latencyPercentile(ttfts, 0.99);
-    res.token_p50_ms = latencyPercentile(token_ms, 0.50);
-    res.token_p99_ms = latencyPercentile(token_ms, 0.99);
-    return res;
-}
-
-/**
- * Crash-failover simulation on the virtual clock: the affinity fleet
- * from runShardedSim, but @p killed_shard crashes at @p kill_tick — it
- * never steps again, its aggregate stats are abandoned, and every
- * request it had not finished is re-submitted (from the router-side
- * request copies) to the least-loaded survivor, the serial twin of
- * ShardedFrontEnd::failShard. Restart-is-bit-exact makes the
- * survivor's regenerated stream THE stream; requests the victim
- * completed before the crash keep their original streams and timings.
- * No threads and no wall clock anywhere, so the row is deterministic
- * and tools/check_bench.py gates ttft_p99_ms (the failover tail: a
- * rerouted request's TTFT includes the re-prefill on the survivor —
- * every live engine steps every tick, idle or not, so the virtual
- * clocks stay aligned with the shared tick count) and
- * goodput_ok_fraction (a crash must never lose a request: 1.0 or the
- * gate fails).
- */
-RunResult
-runShardedFailoverSim(const Transformer &model, const std::string &format,
-                      const std::string &workload_name,
-                      const std::vector<ServeRequest> &reqs,
-                      const std::vector<size_t> &shard_of,
-                      size_t num_shards, size_t killed_shard,
-                      size_t kill_tick, EngineOptions opts)
+              EngineOptions opts, size_t kill_shard = SIZE_MAX,
+              size_t kill_tick = 0)
 {
     const QuantConfig qc = QuantConfig::fromFormat(format);
     std::vector<std::unique_ptr<ServingEngine>> shards;
@@ -742,67 +607,42 @@ runShardedFailoverSim(const Transformer &model, const std::string &format,
     std::vector<size_t> owner = shard_of; // final owner per request
     std::vector<size_t> ids(reqs.size());
     for (size_t r = 0; r < reqs.size(); ++r)
-        ids[r] = shards[shard_of[r]]->submit(reqs[r]);
+        ids[r] = shards[owner[r]]->submit(reqs[r]);
 
-    size_t steps = 0;
+    size_t dead = SIZE_MAX;
     size_t rerouted = 0;
-    bool killed = false;
     bool busy = true;
-    while (busy) {
-        if (!killed && steps >= kill_tick) {
-            killed = true;
+    for (size_t tick = 0; busy; ++tick) {
+        if (tick == kill_tick && kill_shard < num_shards) {
+            dead = kill_shard;
             for (size_t r = 0; r < reqs.size(); ++r) {
-                if (owner[r] != killed_shard)
+                // A request the victim finished pre-crash keeps its
+                // stream, as a done ticket does under failShard.
+                if (owner[r] != dead || shards[dead]->stats(ids[r]).finished)
                     continue;
-                const RequestStats &rs =
-                    shards[killed_shard]->stats(ids[r]);
-                if (rs.outcome == RequestOutcome::kCompleted)
-                    continue; // finished pre-crash: its stream stands
-                // Least-loaded survivor, lowest index breaking ties —
-                // the serial twin of the router's pickShard().
-                size_t best = 0;
+                // Least-loaded survivor, lowest index breaking ties.
                 size_t best_load = SIZE_MAX;
                 for (size_t s = 0; s < num_shards; ++s) {
-                    if (s == killed_shard)
-                        continue;
                     const size_t load = shards[s]->queuedRequests() +
                                         shards[s]->activeRequests();
-                    if (load < best_load) {
+                    if (s != dead && load < best_load) {
                         best_load = load;
-                        best = s;
+                        owner[r] = s;
                     }
                 }
-                owner[r] = best;
-                ids[r] = shards[best]->submit(reqs[r]);
+                ids[r] = shards[owner[r]]->submit(reqs[r]);
                 ++rerouted;
-            }
-            // A kill that fires after the victim drained exercises
-            // nothing — the row would silently measure plain sharding.
-            // Config drift must fail loudly, like every other bench
-            // invariant.
-            if (rerouted == 0) {
-                std::fprintf(stderr,
-                             "bench_serving: FATAL %s %s kill tick %zu "
-                             "fired after shard %zu drained — no "
-                             "failover exercised; lower kill_tick\n",
-                             format.c_str(), workload_name.c_str(),
-                             kill_tick, killed_shard);
-                std::exit(1);
             }
         }
         busy = false;
         for (size_t s = 0; s < num_shards; ++s) {
-            if (killed && s == killed_shard)
+            if (s == dead)
                 continue; // crashed: never steps again
-            ServingEngine &sh = *shards[s];
-            if (sh.queuedRequests() > 0 || sh.activeRequests() > 0)
-                busy = true;
-            // Step even when idle: every survivor's virtual clock then
-            // stays aligned with the shared tick count, so a rerouted
-            // request's ttft_ms includes the full failover gap.
-            sh.step();
+            busy = busy || shards[s]->queuedRequests() > 0 ||
+                   shards[s]->activeRequests() > 0;
+            shards[s]->step();
         }
-        if (++steps > kMaxBenchSteps) {
+        if (tick >= kMaxBenchSteps) {
             std::fprintf(stderr,
                          "bench_serving: FATAL %s %s did not drain "
                          "within %zu steps — scheduler livelock\n",
@@ -811,82 +651,39 @@ runShardedFailoverSim(const Transformer &model, const std::string &format,
             std::exit(1);
         }
     }
-    for (size_t s = 0; s < num_shards; ++s) {
-        if (s != killed_shard)
-            shards[s]->runToCompletion(1); // finalize aggregate stats
+    if (kill_shard < num_shards) {
+        // A kill that fires after the victim drained (or after the
+        // fleet did) exercises nothing — the row would silently
+        // measure plain sharding. Config drift must fail loudly.
+        if (rerouted == 0) {
+            std::fprintf(stderr,
+                         "bench_serving: FATAL %s %s kill tick %zu "
+                         "fired after shard %zu drained — no failover "
+                         "exercised; lower kill_tick\n",
+                         format.c_str(), workload_name.c_str(), kill_tick,
+                         kill_shard);
+            std::exit(1);
+        }
+        std::fprintf(stderr,
+                     "  %s %s: shard %zu killed at tick %zu, %zu "
+                     "in-flight request(s) failed over\n",
+                     format.c_str(), workload_name.c_str(), kill_shard,
+                     kill_tick, rerouted);
     }
-    std::fprintf(stderr,
-                 "  %s %s: shard %zu killed at tick %zu, %zu in-flight "
-                 "request(s) failed over\n",
-                 format.c_str(), workload_name.c_str(), killed_shard,
-                 kill_tick, rerouted);
 
-    RunResult res;
-    res.format = format;
-    res.workload = workload_name;
-    res.batch = opts.max_batch;
-    res.requests = reqs.size();
-    res.num_threads = opts.num_threads;
-    const size_t pt = shards[0]->pool().pageTokens();
-    const size_t page_bytes = shards[0]->pool().pageBytes();
-    const size_t layers = model.config().n_layers;
-    for (const auto &req : reqs) {
-        const size_t tokens = req.prompt.size() + req.max_new_tokens;
-        res.kv_bytes_reserved_worst +=
-            (tokens + pt - 1) / pt * layers * page_bytes;
-    }
-    // Fleet aggregation over SURVIVORS only: the victim's aggregate
-    // stats die with it (exactly the failShard contract — only its
-    // per-request results that completed pre-crash survive, via the
-    // router-side copies read below).
-    double occupancy_weight = 0.0;
+    std::vector<const EngineStats *> live;
     for (size_t s = 0; s < num_shards; ++s) {
-        if (s == killed_shard)
+        if (s == dead)
             continue;
-        const EngineStats &es = shards[s]->engineStats();
-        res.throughput_tok_s += es.throughput_tokens_per_s;
-        res.decode_tok_s += es.decode_tokens_per_s;
-        res.mean_batch_occupancy +=
-            es.mean_batch_occupancy * static_cast<double>(es.total_generated);
-        occupancy_weight += static_cast<double>(es.total_generated);
-        res.kv_bytes_peak += es.kv_bytes_peak;
-        res.kv_pages_peak += es.kv_pages_peak;
-        res.prefill_chunks += es.prefill_chunks;
-        res.admission_deferred_steps += es.admission_deferred_steps;
-        res.prefix_hit_tokens += es.prefix_hit_tokens;
-        res.preemptions += es.preemptions;
-        res.preempted_recompute_tokens += es.preempted_recompute_tokens;
-        res.shed += es.shed_requests;
-        res.timed_out += es.timed_out_requests;
-        res.cancelled += es.cancelled_requests;
-        res.checksum_failures += es.checksum_failures;
-        res.kv_bytes_reserved_peak += es.kv_bytes_reserved_peak;
-        res.admitted_before_first_defer += es.admitted_before_first_defer;
+        shards[s]->runToCompletion(1); // finalize aggregate stats
+        live.push_back(&shards[s]->engineStats());
     }
-    if (occupancy_weight > 0.0)
-        res.mean_batch_occupancy /= occupancy_weight;
-
-    std::vector<double> ttfts;
-    std::vector<double> token_ms;
-    size_t completed = 0;
-    for (size_t r = 0; r < reqs.size(); ++r) {
-        const RequestStats &rs = shards[owner[r]]->stats(ids[r]);
-        res.streams.push_back(rs.generated);
-        if (rs.outcome == RequestOutcome::kCompleted)
-            ++completed;
-        if (rs.generated.empty())
-            continue;
-        ttfts.push_back(rs.ttft_ms);
-        token_ms.insert(token_ms.end(), rs.token_ms.begin(),
-                        rs.token_ms.end());
-    }
-    res.goodput_ok_fraction =
-        reqs.empty() ? 0.0
-                     : static_cast<double>(completed) / reqs.size();
-    res.ttft_p50_ms = latencyPercentile(ttfts, 0.50);
-    res.ttft_p99_ms = latencyPercentile(ttfts, 0.99);
-    res.token_p50_ms = latencyPercentile(token_ms, 0.50);
-    res.token_p99_ms = latencyPercentile(token_ms, 0.99);
+    std::vector<const RequestStats *> finals;
+    for (size_t r = 0; r < reqs.size(); ++r)
+        finals.push_back(&shards[owner[r]]->stats(ids[r]));
+    RunResult res = newResult(format, workload_name, reqs, opts);
+    res.kv_bytes_reserved_worst = reservedWorstBytes(*shards[0], model, reqs);
+    fillResult(mergeFleetStats(live, finals), finals, res);
     return res;
 }
 
@@ -895,6 +692,7 @@ printResult(FILE *out, const RunResult &r, bool last)
 {
     // Poisson rows carry their open-loop rate; other traffic shapes
     // have no rps to report, so the field is simply absent there.
+    const EngineStats &es = r.stats;
     char rps[48] = "";
     if (r.workload.rfind("poisson", 0) == 0)
         std::snprintf(rps, sizeof rps, "\"offered_rps\": %.1f, ",
@@ -919,16 +717,17 @@ printResult(FILE *out, const RunResult &r, bool last)
         "\"admitted_before_first_defer\": %zu, "
         "\"goodput_ok_fraction\": %.3f}%s\n",
         r.format.c_str(), r.workload.c_str(), r.batch, r.num_threads,
-        rps, r.throughput_tok_s, r.decode_tok_s, r.speedup_vs_batch1,
-        r.ttft_p50_ms, r.ttft_p99_ms, r.token_p50_ms, r.token_p99_ms,
-        r.mean_batch_occupancy, r.kv_bytes_peak, r.kv_pages_peak,
-        r.kv_bytes_reserved_worst, r.prefill_chunks,
-        r.admission_deferred_steps, r.prefix_hit_tokens, r.preemptions,
-        r.preempted_recompute_tokens, r.queue_wait_ms_p50,
-        r.queue_wait_ms_p99, r.shed, r.timed_out, r.cancelled,
-        r.checksum_failures, r.kv_bytes_reserved_peak,
-        r.compressed_ratio, r.admitted_before_first_defer,
-        r.goodput_ok_fraction, last ? "" : ",");
+        rps, es.throughput_tokens_per_s, es.decode_tokens_per_s,
+        r.speedup_vs_batch1, r.ttft_p50_ms, r.ttft_p99_ms, r.token_p50_ms,
+        r.token_p99_ms, es.mean_batch_occupancy, es.kv_bytes_peak,
+        es.kv_pages_peak, r.kv_bytes_reserved_worst, es.prefill_chunks,
+        es.admission_deferred_steps, es.prefix_hit_tokens, es.preemptions,
+        es.preempted_recompute_tokens, es.queue_wait_ms_p50,
+        es.queue_wait_ms_p99, es.shed_requests, es.timed_out_requests,
+        es.cancelled_requests, es.checksum_failures,
+        es.kv_bytes_reserved_peak, es.compressed_ratio,
+        es.admitted_before_first_defer, es.goodput_ok_fraction,
+        last ? "" : ",");
 }
 
 } // namespace
@@ -1057,9 +856,9 @@ main(int argc, char **argv)
                 model, fmt, "uniform",
                 uniformWorkload(requests, prompt_len, new_tokens), opts);
             if (b == 1)
-                batch1_tok_s = r.throughput_tok_s;
+                batch1_tok_s = r.stats.throughput_tokens_per_s;
             r.speedup_vs_batch1 = batch1_tok_s > 0.0
-                ? r.throughput_tok_s / batch1_tok_s
+                ? r.stats.throughput_tokens_per_s / batch1_tok_s
                 : 0.0;
             results.push_back(std::move(r));
         }
@@ -1202,25 +1001,27 @@ main(int argc, char **argv)
                          fmt.c_str());
             return 1;
         }
-        if (comp.admitted_before_first_defer <=
-                base.admitted_before_first_defer ||
-            comp.kv_bytes_peak >= base.kv_bytes_peak) {
+        if (comp.stats.admitted_before_first_defer <=
+                base.stats.admitted_before_first_defer ||
+            comp.stats.kv_bytes_peak >= base.stats.kv_bytes_peak) {
             std::fprintf(stderr,
                          "bench_serving: FATAL %s shared-prefix-"
                          "compressed shows no capacity win at equal "
                          "budget (admitted %zu vs %zu before first "
                          "deferral, kv_bytes_peak %zu vs %zu)\n",
-                         fmt.c_str(), comp.admitted_before_first_defer,
-                         base.admitted_before_first_defer,
-                         comp.kv_bytes_peak, base.kv_bytes_peak);
+                         fmt.c_str(),
+                         comp.stats.admitted_before_first_defer,
+                         base.stats.admitted_before_first_defer,
+                         comp.stats.kv_bytes_peak,
+                         base.stats.kv_bytes_peak);
             return 1;
         }
         std::fprintf(stderr,
                      "  %s shared-prefix-compressed: ratio %.2fx, "
                      "admitted %zu vs %zu before first deferral\n",
-                     fmt.c_str(), comp.compressed_ratio,
-                     comp.admitted_before_first_defer,
-                     base.admitted_before_first_defer);
+                     fmt.c_str(), comp.stats.compressed_ratio,
+                     comp.stats.admitted_before_first_defer,
+                     base.stats.admitted_before_first_defer);
         shared.push_back(std::move(cached));
         shared.push_back(std::move(plain));
         shared.push_back(std::move(base));
@@ -1284,9 +1085,8 @@ main(int argc, char **argv)
         std::vector<size_t> affinity(reqs.size());
         std::vector<size_t> round_robin(reqs.size());
         for (size_t i = 0; i < reqs.size(); ++i) {
-            affinity[i] = affinityShard(reqs[i].prompt, pt,
-                                        router.affinity_pages,
-                                        sharded_shards);
+            affinity[i] =
+                affinityShard(reqs[i].prompt, pt, sharded_shards);
             round_robin[i] = i % sharded_shards;
         }
         RunResult aff = runShardedSim(model, fmt, "sharded-affinity",
@@ -1295,9 +1095,9 @@ main(int argc, char **argv)
         RunResult rr = runShardedSim(model, fmt, "sharded-roundrobin",
                                      reqs, round_robin, sharded_shards,
                                      opts);
-        RunResult failover = runShardedFailoverSim(
-            model, fmt, "sharded-failover", reqs, affinity,
-            sharded_shards, affinity[0], sharded_kill_tick, opts);
+        RunResult failover = runShardedSim(
+            model, fmt, "sharded-failover", reqs, affinity, sharded_shards,
+            opts, affinity[0], sharded_kill_tick);
         RunResult live = runFrontEnd(model, fmt, "sharded-async", reqs,
                                      router, opts);
         // The affinity fleet again with frozen-page compression armed
@@ -1320,20 +1120,20 @@ main(int argc, char **argv)
                          fmt.c_str());
             return 1;
         }
-        if (comp.kv_bytes_peak >= aff.kv_bytes_peak) {
+        if (comp.stats.kv_bytes_peak >= aff.stats.kv_bytes_peak) {
             std::fprintf(stderr,
                          "bench_serving: FATAL %s sharded-compressed "
                          "resident peak %zu did not drop below the "
                          "uncompressed affinity fleet's %zu\n",
-                         fmt.c_str(), comp.kv_bytes_peak,
-                         aff.kv_bytes_peak);
+                         fmt.c_str(), comp.stats.kv_bytes_peak,
+                         aff.stats.kv_bytes_peak);
             return 1;
         }
         std::fprintf(stderr,
                      "  %s sharded-compressed: ratio %.2fx, "
                      "kv_bytes_peak %zu vs %zu uncompressed\n",
-                     fmt.c_str(), comp.compressed_ratio,
-                     comp.kv_bytes_peak, aff.kv_bytes_peak);
+                     fmt.c_str(), comp.stats.compressed_ratio,
+                     comp.stats.kv_bytes_peak, aff.stats.kv_bytes_peak);
         sharded.push_back(std::move(ref));
         sharded.push_back(std::move(aff));
         sharded.push_back(std::move(rr));

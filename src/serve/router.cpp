@@ -130,14 +130,15 @@ RouterOptions::validate() const
 
 size_t
 affinityShard(const std::vector<int> &prompt, size_t page_tokens,
-              size_t affinity_pages, size_t num_shards)
+              size_t num_shards)
 {
+    // Leading whole pages hashed into the key: prompts that share
+    // their first four pages prefer the same shard.
+    constexpr size_t kAffinityPages = 4;
     MXPLUS_CHECK_MSG(num_shards > 0, "affinityShard: no shards");
     const size_t whole =
         page_tokens > 0 ? prompt.size() / page_tokens : 0;
-    size_t pages = whole;
-    if (affinity_pages > 0)
-        pages = std::min(pages, affinity_pages);
+    const size_t pages = std::min(whole, kAffinityPages);
     uint64_t h = 0;
     if (pages == 0) {
         // Shorter than one page: the whole prompt IS the key.
@@ -489,9 +490,7 @@ ShardedFrontEnd::pickShard(const std::vector<int> &prompt)
     // Affinity key maps onto the FULL shard space so it is stable
     // across retirements; a retired preferred shard degrades to a
     // deterministic re-map over the live set.
-    const size_t global = affinityShard(prompt, page_tokens_,
-                                        router_.affinity_pages,
-                                        shards_.size());
+    const size_t global = affinityShard(prompt, page_tokens_, shards_.size());
     size_t preferred =
         shards_[global]->routable.load(std::memory_order_acquire)
         ? global
@@ -758,8 +757,24 @@ ShardedFrontEnd::maybeMergeLocked()
             return;
     // Fleet idle and every shard finalized: safe to read all
     // (non-failed) engines from this thread — their owners are asleep,
-    // and a new submit must take done_mu_ first.
-    fleet_stats_ = mergeFleetStats();
+    // and a new submit must take done_mu_ first. A crash-failed
+    // shard's aggregates died with it (docs/ROBUSTNESS.md); its
+    // tickets' outcomes survive in their final stats.
+    std::vector<const EngineStats *> shard_stats;
+    for (const auto &sh : shards_)
+        if (!sh->failed.load(std::memory_order_acquire))
+            shard_stats.push_back(&sh->engine->engineStats());
+    std::vector<const RequestStats *> finals;
+    {
+        std::lock_guard<std::mutex> lk(registry_mu_);
+        for (const auto &sp : streams_) {
+            // Immutable once done: safe to read past the unlock.
+            std::lock_guard<std::mutex> slk(sp->mu);
+            if (sp->done)
+                finals.push_back(&sp->final_stats);
+        }
+    }
+    fleet_stats_ = mergeFleetStats(shard_stats, finals);
     stats_ready_ = true;
 }
 
@@ -813,12 +828,14 @@ ShardedFrontEnd::wedgeLoop(size_t shard)
     // publishing — but the heartbeat keeps BEATING with a frozen
     // epoch, which is exactly why the detector keys on epoch progress
     // and not beat liveness. Exits only when failover abandons the
-    // shard or the front end shuts down.
+    // shard, retirement joins it or the front end shuts down.
     for (;;) {
         if (sh.abandoned.load(std::memory_order_acquire)) {
             markCleanAndMaybeReady(shard);
             return;
         }
+        if (sh.retire.load(std::memory_order_acquire))
+            return; // retireShard accounts for the shard once joined
         {
             std::lock_guard<std::mutex> lk(sh.wake_mu);
             if (sh.stop)
@@ -975,7 +992,24 @@ ShardedFrontEnd::retireShard(size_t shard)
     }
     sh.wake_cv.notify_one();
     sh.thread.join();
-    reownTickets(shard);
+    bool crashed = false;
+    {
+        std::lock_guard<std::mutex> crash_lk(crash_mu_);
+        crashed = sh.doomed;
+    }
+    if (crashed) {
+        // A wedge or death site fired here (charged to the doom cap
+        // then): the thread left without finalizing its engine, so this
+        // retirement is a failover, accounted exactly as failShard's.
+        if (health_ != nullptr)
+            health_->markDead(shard);
+        sh.failed.store(true, std::memory_order_release);
+        failed_shards_.fetch_add(1, std::memory_order_relaxed);
+        failover_reroutes_.fetch_add(reownTickets(shard),
+                                     std::memory_order_relaxed);
+    } else {
+        reownTickets(shard);
+    }
     markCleanAndMaybeReady(shard);
     return true;
 }
@@ -1128,101 +1162,81 @@ ShardedFrontEnd::supervisorLoop()
 // ------------------------------------------------------------- fleet stats --
 
 EngineStats
-ShardedFrontEnd::mergeFleetStats() const
+mergeFleetStats(const std::vector<const EngineStats *> &shards,
+                const std::vector<const RequestStats *> &finals)
 {
     EngineStats f;
     double occupancy_weighted = 0.0;
+    double ratio_sum = 0.0;
 
-    // Mechanism counters sum over every non-FAILED shard, retired
-    // included — a re-routed ticket's work on both shards is real
-    // work, like a preempted request's recompute. A crash-failed
-    // shard's engine died mid-flight; its aggregates are abandoned
-    // with it (documented in docs/ROBUSTNESS.md) while its tickets'
-    // outcomes survive in the per-ticket pass below.
-    for (const auto &sh : shards_) {
-        if (sh->failed.load(std::memory_order_acquire))
-            continue;
-        const EngineStats &es = sh->engine->engineStats();
-        f.decode_batches += es.decode_batches;
-        f.decode_ms += es.decode_ms;
-        f.decode_tokens += es.decode_tokens;
-        f.decode_tokens_per_s += es.decode_tokens_per_s;
-        f.throughput_tokens_per_s += es.throughput_tokens_per_s;
-        f.prefill_chunks += es.prefill_chunks;
-        f.admission_deferred_steps += es.admission_deferred_steps;
-        f.prefix_hit_requests += es.prefix_hit_requests;
-        f.prefix_hit_tokens += es.prefix_hit_tokens;
-        f.prefix_inserted_tokens += es.prefix_inserted_tokens;
-        f.prefix_evicted_pages += es.prefix_evicted_pages;
-        f.sjf_reorders += es.sjf_reorders;
-        f.preemptions += es.preemptions;
-        f.preempted_recompute_tokens += es.preempted_recompute_tokens;
-        f.checksum_failures += es.checksum_failures;
-        f.kv_bytes_peak += es.kv_bytes_peak;
-        f.kv_bytes_reserved_peak += es.kv_bytes_reserved_peak;
-        f.kv_pages_peak += es.kv_pages_peak;
-        f.admitted_before_first_defer += es.admitted_before_first_defer;
-        f.codec_decode_calls += es.codec_decode_calls;
-        f.wall_ms = std::max(f.wall_ms, es.wall_ms);
-        occupancy_weighted += es.mean_batch_occupancy *
-            static_cast<double>(es.decode_batches);
+    // Mechanism counters sum over the given shards — a re-routed
+    // ticket's work on both shards is real work, like a preempted
+    // request's recompute; shards are concurrent, so peaks sum too.
+    for (const EngineStats *es : shards) {
+        f.decode_batches += es->decode_batches;
+        f.decode_ms += es->decode_ms;
+        f.decode_tokens += es->decode_tokens;
+        f.decode_tokens_per_s += es->decode_tokens_per_s;
+        f.throughput_tokens_per_s += es->throughput_tokens_per_s;
+        f.prefill_chunks += es->prefill_chunks;
+        f.admission_deferred_steps += es->admission_deferred_steps;
+        f.prefix_hit_requests += es->prefix_hit_requests;
+        f.prefix_hit_tokens += es->prefix_hit_tokens;
+        f.prefix_inserted_tokens += es->prefix_inserted_tokens;
+        f.prefix_evicted_pages += es->prefix_evicted_pages;
+        f.sjf_reorders += es->sjf_reorders;
+        f.preemptions += es->preemptions;
+        f.preempted_recompute_tokens += es->preempted_recompute_tokens;
+        f.checksum_failures += es->checksum_failures;
+        f.kv_bytes_peak += es->kv_bytes_peak;
+        f.kv_bytes_reserved_peak += es->kv_bytes_reserved_peak;
+        f.kv_pages_peak += es->kv_pages_peak;
+        f.admitted_before_first_defer += es->admitted_before_first_defer;
+        f.codec_decode_calls += es->codec_decode_calls;
+        f.wall_ms = std::max(f.wall_ms, es->wall_ms);
+        occupancy_weighted += es->mean_batch_occupancy *
+            static_cast<double>(es->decode_batches);
+        ratio_sum += es->compressed_ratio;
     }
     f.mean_batch_occupancy = f.decode_batches > 0
         ? occupancy_weighted / static_cast<double>(f.decode_batches)
         : 0.0;
     // Fleet-level compression figure: every shard sees the same
-    // traffic mix, so the plain mean over live shards is honest.
-    double ratio_sum = 0.0;
-    size_t live = 0;
-    for (const auto &sh : shards_) {
-        if (sh->failed.load(std::memory_order_acquire))
-            continue;
-        ratio_sum += sh->engine->engineStats().compressed_ratio;
-        ++live;
-    }
-    f.compressed_ratio = live > 0 ? ratio_sum / static_cast<double>(live)
-                                  : 1.0;
+    // traffic mix, so the plain mean over shards is honest.
+    f.compressed_ratio =
+        shards.empty() ? 1.0 : ratio_sum / static_cast<double>(shards.size());
 
     // Outcome counters and goodput are per TICKET (client truth): a
     // re-routed or failed-over request counts once, by its final
     // outcome — never as the dying shard's engine-level cancel.
     std::vector<double> queue_waits;
     size_t completed = 0;
-    size_t total = 0;
-    {
-        std::lock_guard<std::mutex> lk(registry_mu_);
-        for (const auto &sp : streams_) {
-            std::lock_guard<std::mutex> slk(sp->mu);
-            if (!sp->done)
-                continue; // unreachable when the fleet is idle
-            ++total;
-            const RequestStats &rs = sp->final_stats;
-            f.total_generated += rs.generated.size();
-            queue_waits.push_back(rs.queue_wait_ms);
-            switch (sp->outcome) {
-            case RequestOutcome::kCompleted:
-                ++completed;
-                break;
-            case RequestOutcome::kRejected:
-                ++f.rejected_requests;
-                break;
-            case RequestOutcome::kShed:
-                ++f.shed_requests;
-                break;
-            case RequestOutcome::kTimedOut:
-                ++f.timed_out_requests;
-                break;
-            case RequestOutcome::kCancelled:
-                ++f.cancelled_requests;
-                break;
-            default:
-                break;
-            }
+    for (const RequestStats *rs : finals) {
+        f.total_generated += rs->generated.size();
+        queue_waits.push_back(rs->queue_wait_ms);
+        switch (rs->outcome) {
+        case RequestOutcome::kCompleted:
+            ++completed;
+            break;
+        case RequestOutcome::kRejected:
+            ++f.rejected_requests;
+            break;
+        case RequestOutcome::kShed:
+            ++f.shed_requests;
+            break;
+        case RequestOutcome::kTimedOut:
+            ++f.timed_out_requests;
+            break;
+        case RequestOutcome::kCancelled:
+            ++f.cancelled_requests;
+            break;
+        default:
+            break;
         }
     }
-    f.goodput_ok_fraction = total > 0
-        ? static_cast<double>(completed) / static_cast<double>(total)
-        : 0.0;
+    f.goodput_ok_fraction = finals.empty()
+        ? 0.0
+        : static_cast<double>(completed) / static_cast<double>(finals.size());
     // Merged p50/p99 from the per-ticket queue-wait digests, with the
     // same nearest-rank percentile the engines use.
     f.queue_wait_ms_p50 = latencyPercentile(queue_waits, 0.50);

@@ -81,13 +81,13 @@
  * by the deadline is REFUSED with a terminal kShed outcome: never
  * hung, never lost.
  *
- * Fleet statistics: engineStats() returns a merged view — outcome
- * counters and goodput are computed per TICKET (a re-routed request
- * counts once, by its final outcome), mechanism counters sum over
- * every non-failed shard (retired ones included), wall time is the
- * max, and queue-wait p50/p99 merge the per-ticket digests with the
- * same nearest-rank percentile the engine uses. healthStats() reports
- * the supervision side: detections, failovers, re-routes, refusals.
+ * Fleet statistics: engineStats() returns mergeFleetStats() over every
+ * non-failed shard's engine stats (retired ones included) and every
+ * ticket's final stats — outcome counters and goodput are per TICKET
+ * (a re-routed request counts once, by its final outcome), and
+ * queue-wait p50/p99 merge the per-ticket digests with the same
+ * nearest-rank percentile the engine uses. healthStats() reports the
+ * supervision side: detections, failovers, re-routes, refusals.
  */
 
 #ifndef MXPLUS_SERVE_ROUTER_H
@@ -183,10 +183,6 @@ struct RouterOptions
         than spill_threshold x (least-loaded shard + 1) outstanding
         requests (>= 1; higher sticks to affinity longer). */
     double spill_threshold = 2.0;
-    /** Leading whole pages hashed into the affinity key (0 = every
-        whole page of the prompt). Prompts shorter than one page hash
-        in full. */
-    size_t affinity_pages = 4;
     /** Shard selection policy (see RoutePolicy). */
     RoutePolicy policy = RoutePolicy::kPrefixAffinity;
     /** Per-shard chaos config: when any probability is positive, every
@@ -239,15 +235,26 @@ struct RouterOptions
 
 /**
  * Preferred shard for @p prompt under the prefix-affinity policy:
- * fold the leading min(@p affinity_pages, whole pages) page runs of
- * @p page_tokens tokens through the chained token hash (prompts
- * shorter than one page hash in full) and reduce modulo
- * @p num_shards. Pure function of its arguments — exposed so the
- * bench's deterministic single-thread simulation routes exactly like
- * the live router.
+ * fold the prompt's leading whole page runs of @p page_tokens tokens
+ * (at most four) through the chained token hash (prompts shorter than
+ * one page hash in full) and reduce modulo @p num_shards. Pure
+ * function of its arguments — exposed so the bench's deterministic
+ * single-thread simulation routes exactly like the live router.
  */
 size_t affinityShard(const std::vector<int> &prompt, size_t page_tokens,
-                     size_t affinity_pages, size_t num_shards);
+                     size_t num_shards);
+
+/**
+ * The fleet merge rule, a pure function for the same reason as
+ * affinityShard: mechanism counters and peaks sum over @p shards (the
+ * non-failed shards' finalized stats), wall time is the max, batch
+ * occupancy is weighted by decode batches and the compression ratio is
+ * the mean over shards; outcome counters, total_generated, goodput and
+ * queue-wait p50/p99 are recomputed from @p finals, one terminal
+ * RequestStats per ticket, so a re-routed request counts once.
+ */
+EngineStats mergeFleetStats(const std::vector<const EngineStats *> &shards,
+                            const std::vector<const RequestStats *> &finals);
 
 /** Sharded multi-engine front end (see file header). */
 class ShardedFrontEnd
@@ -292,7 +299,10 @@ class ShardedFrontEnd
      * unfinished ticket it owned is re-owned by a live shard (restart —
      * bit-exact, see file header) through the same registry pass
      * failShard() uses. Blocks until the shard is fully
-     * retired. Returns false (and does nothing) when @p shard is
+     * retired. A shard a crash fault site fired on (wedged or dead)
+     * cannot finalize, so its retirement is accounted as failShard()'s
+     * is: failed, aggregates out of the merge, re-routes counted as
+     * failover. Returns false (and does nothing) when @p shard is
      * unknown, already retired/failed, or the last live shard. A
      * ticket whose cancel flag is set at re-route time still
      * re-routes, but the new shard's flag-at-map check cancels it at
@@ -495,8 +505,8 @@ class ShardedFrontEnd
         wedgeLoop first; death returns immediately). */
     bool shardFaultPoll(size_t shard);
     /** The wedged-thread simulation: beat a frozen epoch, drain
-        nothing, step nothing, until abandoned (failover) or stop
-        (shutdown). */
+        nothing, step nothing, until abandoned (failover), retire or
+        stop (shutdown). */
     void wedgeLoop(size_t shard);
     /** Claim one wedge/death firing against max_crash_faults and the
         doom cap; false = suppress the firing (the draw already
@@ -510,11 +520,10 @@ class ShardedFrontEnd
         merge if the fleet is idle and clean. */
     void markCleanAndMaybeReady(size_t shard);
     /** Caller holds done_mu_: when the fleet is idle and every shard
-        clean, merge fleet_stats_ and flip stats_ready_. */
+        clean, gather the non-failed shards' engine stats and the done
+        tickets' final stats, merge them into fleet_stats_
+        (mergeFleetStats) and flip stats_ready_. */
     void maybeMergeLocked();
-    /** Merge per-shard engine stats + per-ticket outcomes (caller
-        holds done_mu_ with the fleet idle; failed shards skipped). */
-    EngineStats mergeFleetStats() const;
     /** Supervisor thread body (health_tick_ms > 0 only). */
     void supervisorLoop();
 

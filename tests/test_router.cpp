@@ -8,9 +8,10 @@
  * re-routing (retireShard), racing submits/cancels, per-shard chaos
  * injection — and now fleet health: crash failover without drain
  * (failShard), heartbeat detection on a virtual clock (superviseOnce),
- * shard-level chaos (wedge/death/slow) with supervised recovery, and
- * the bounded-wait guarantee that no producer can hang on a wedged
- * shard.
+ * shard-level chaos (wedge/death/slow) with supervised recovery,
+ * retirement of a wedged shard, the bounded-wait guarantee that no
+ * producer can hang on a wedged shard, and the fleet merge rule
+ * (mergeFleetStats) the bench's serial fleet shares.
  *
  * Failing chaos episodes write chaos_failure_router_<fmt>_<seed>.txt
  * (seed, per-shard fault schedules, repro command) into the working
@@ -27,8 +28,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,28 +133,103 @@ TEST(Router, AffinityShardIsAPureFunctionOfPrefixPages)
     a.insert(a.end(), ta.begin(), ta.end());
     b.insert(b.end(), tb.begin(), tb.end());
     for (size_t shards = 1; shards <= 8; ++shards) {
-        EXPECT_EQ(affinityShard(a, pt, 4, shards),
-                  affinityShard(b, pt, 4, shards));
+        EXPECT_EQ(affinityShard(a, pt, shards),
+                  affinityShard(b, pt, shards));
         // Pure function: repeated evaluation never drifts.
-        EXPECT_EQ(affinityShard(a, pt, 4, shards),
-                  affinityShard(a, pt, 4, shards));
-        EXPECT_LT(affinityShard(a, pt, 4, shards), shards);
+        EXPECT_EQ(affinityShard(a, pt, shards),
+                  affinityShard(a, pt, shards));
+        EXPECT_LT(affinityShard(a, pt, shards), shards);
     }
 
     // A differing FIRST page must be able to separate families (with
     // 64 distinct heads and 8 shards, a constant hash would pin all of
     // them to one shard).
     bool separated = false;
-    const size_t base = affinityShard(tokenRamp(2 * pt, 100), pt, 4, 8);
+    const size_t base = affinityShard(tokenRamp(2 * pt, 100), pt, 8);
     for (int s = 101; s < 164 && !separated; ++s)
-        separated = affinityShard(tokenRamp(2 * pt, s), pt, 4, 8) != base;
+        separated = affinityShard(tokenRamp(2 * pt, s), pt, 8) != base;
     EXPECT_TRUE(separated);
 
     // Sub-page prompts hash in full rather than all colliding at 0
     // pages.
     const std::vector<int> shorty = tokenRamp(7, 3);
-    EXPECT_EQ(affinityShard(shorty, pt, 4, 8),
-              affinityShard(shorty, pt, 4, 8));
+    EXPECT_EQ(affinityShard(shorty, pt, 8),
+              affinityShard(shorty, pt, 8));
+}
+
+// ------------------------------------------------------ fleet merge rule --
+
+TEST(Router, MergeFleetStatsSumsShardsAndCountsEachTicketOnce)
+{
+    // Two shards' finalized stats. One request was re-routed from a to
+    // b, so its work (and a's engine-level cancel of it) shows up in
+    // both shards' counters.
+    EngineStats a;
+    a.wall_ms = 40.0;
+    a.throughput_tokens_per_s = 100.0;
+    a.decode_batches = 10;
+    a.decode_tokens = 30;
+    a.mean_batch_occupancy = 3.0;
+    a.kv_bytes_peak = 1000;
+    a.prefill_chunks = 4;
+    a.preemptions = 1;
+    a.compressed_ratio = 2.0;
+    a.cancelled_requests = 1; // the re-route artifact
+    EngineStats b;
+    b.wall_ms = 55.0;
+    b.throughput_tokens_per_s = 50.0;
+    b.decode_batches = 30;
+    b.decode_tokens = 40;
+    b.mean_batch_occupancy = 1.0;
+    b.kv_bytes_peak = 500;
+    b.prefill_chunks = 3;
+    b.compressed_ratio = 4.0;
+    b.cancelled_requests = 1; // the client's cancel
+
+    // One terminal RequestStats per ticket.
+    RequestStats completed;
+    completed.outcome = RequestOutcome::kCompleted;
+    completed.generated = {1, 2, 3};
+    completed.queue_wait_ms = 2.0;
+    RequestStats shed;
+    shed.outcome = RequestOutcome::kShed;
+    shed.queue_wait_ms = 9.0;
+    RequestStats cancelled;
+    cancelled.outcome = RequestOutcome::kCancelled;
+    cancelled.generated = {4};
+    cancelled.queue_wait_ms = 1.0;
+    RequestStats rerouted;
+    rerouted.outcome = RequestOutcome::kCompleted;
+    rerouted.generated = {5, 6};
+    rerouted.queue_wait_ms = 5.0;
+
+    const EngineStats f = mergeFleetStats(
+        {&a, &b}, {&completed, &shed, &cancelled, &rerouted});
+    EXPECT_EQ(f.decode_batches, 40u);
+    EXPECT_EQ(f.decode_tokens, 70u);
+    EXPECT_EQ(f.kv_bytes_peak, 1500u);
+    EXPECT_EQ(f.prefill_chunks, 7u);
+    EXPECT_EQ(f.preemptions, 1u);
+    EXPECT_DOUBLE_EQ(f.throughput_tokens_per_s, 150.0);
+    EXPECT_DOUBLE_EQ(f.wall_ms, 55.0);
+    // Weighted by decode batches: (3 x 10 + 1 x 30) / 40.
+    EXPECT_DOUBLE_EQ(f.mean_batch_occupancy, 1.5);
+    EXPECT_DOUBLE_EQ(f.compressed_ratio, 3.0);
+    // Per ticket: the re-routed request counts once, completed, and
+    // a's engine-level cancel of it never surfaces.
+    EXPECT_EQ(f.total_generated, 6u);
+    EXPECT_EQ(f.shed_requests, 1u);
+    EXPECT_EQ(f.cancelled_requests, 1u);
+    EXPECT_EQ(f.timed_out_requests, 0u);
+    EXPECT_EQ(f.rejected_requests, 0u);
+    EXPECT_DOUBLE_EQ(f.goodput_ok_fraction, 0.5);
+    // Nearest rank over the per-ticket waits {1, 2, 5, 9}.
+    EXPECT_DOUBLE_EQ(f.queue_wait_ms_p50, 5.0);
+    EXPECT_DOUBLE_EQ(f.queue_wait_ms_p99, 9.0);
+
+    const EngineStats empty = mergeFleetStats({}, {});
+    EXPECT_DOUBLE_EQ(empty.compressed_ratio, 1.0);
+    EXPECT_DOUBLE_EQ(empty.goodput_ok_fraction, 0.0);
 }
 
 // ------------------------------------- 4 shards == single golden, per format
@@ -689,6 +767,72 @@ TEST(Router, SuperviseOnceDetectsAWedgeOnTheVirtualClock)
     EXPECT_GE(hs.failed_shards, 1u); // auto_failover recovered it
     EXPECT_EQ(hs.refused_submits, 0u);
     EXPECT_GE(fe.liveShards(), 1u);
+    EXPECT_DOUBLE_EQ(fe.engineStats().goodput_ok_fraction, 1.0);
+    EXPECT_TRUE(fe.auditInvariants());
+}
+
+TEST(Router, RetiringAWedgedShardFailsItOverInsteadOfHanging)
+{
+    const Transformer model(tinyConfig());
+    const QuantConfig qc = QuantConfig::fromFormat("MXFP8");
+    EngineOptions opts;
+    opts.max_batch = 2;
+
+    ServeRequest req;
+    req.prompt = tokenRamp(20, 5);
+    req.max_new_tokens = 8;
+    ServingEngine golden(model, qc, opts);
+    const size_t gid = golden.submit(req);
+    golden.runToCompletion();
+
+    RouterOptions router;
+    router.num_shards = 2;
+    router.heartbeat_timeout_ms = 50.0; // VIRTUAL ms, ticked below
+    router.auto_failover = false;       // the test retires it instead
+    router.fault.seed = 5;
+    // The owner wedges at its first busy poll; the default doom cap
+    // (num_shards - 1) suppresses the survivor's wedge.
+    router.fault.p_shard_wedge = 1.0;
+    ShardedFrontEnd fe(model, qc, opts, router);
+    const size_t owner =
+        affinityShard(req.prompt, fe.pageTokens(), fe.numShards());
+    const uint64_t ticket = fe.submit(req);
+
+    // Provably wedged: after a wall grace for the owner to drain its
+    // ring (and so reach its wedging poll), the detector sees it busy
+    // with a frozen epoch for the whole virtual timeout.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    for (double vnow = 0.0; fe.shardHealth(owner) != ShardHealth::kDead;
+         vnow += 10.0) {
+        ASSERT_LT(vnow, 1e5) << "owner never declared dead";
+        fe.superviseOnce(vnow);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    // A hung retireShard would hang the test binary too: bound the wait
+    // and exit with a message instead (the future's destructor would
+    // block on the hung call).
+    auto retired = std::async(std::launch::async,
+                              [&] { return fe.retireShard(owner); });
+    if (retired.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+        std::fprintf(stderr, "FAILED: retireShard(%zu) on a wedged shard "
+                             "did not return within 10 s\n",
+                     owner);
+        std::fflush(nullptr);
+        std::_Exit(1);
+    }
+    ASSERT_TRUE(retired.get());
+
+    // Retiring a crashed shard is a failover: counted, its aggregates
+    // out of the merge, its ticket re-owned by the survivor.
+    const FleetHealthStats hs = fe.healthStats();
+    ASSERT_EQ(hs.failed_shards, 1u);
+    EXPECT_EQ(hs.failover_reroutes, 1u);
+    EXPECT_TRUE(fe.shardFailed(owner));
+    EXPECT_EQ(fe.wait(ticket), RequestOutcome::kCompleted);
+    EXPECT_EQ(fe.stats(ticket).generated, golden.stats(gid).generated);
+    fe.drain();
     EXPECT_DOUBLE_EQ(fe.engineStats().goodput_ok_fraction, 1.0);
     EXPECT_TRUE(fe.auditInvariants());
 }

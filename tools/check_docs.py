@@ -3,13 +3,14 @@
 
 Two checks, both cheap enough to run in the clang-format CI job:
 
-1. Knob-table completeness: every field of ``EngineOptions``
+1. Table completeness: every field of ``EngineOptions``
    (src/serve/serving_engine.h) must be mentioned in the "Policy
-   knobs" section of docs/SERVING.md, and every field of
-   ``RouterOptions`` (src/serve/router.h) in its "Router knobs"
-   section. Adding a knob without documenting it fails CI — the
-   tables are the user-facing contract, and silent drift there is how
-   option docs rot.
+   knobs" section of docs/SERVING.md, every field of ``RouterOptions``
+   (src/serve/router.h) in its "Router knobs" section, and every field
+   of ``EngineStats`` (src/serve/serving_engine.h) in its "Engine
+   statistics" section. Adding a knob or a statistic without
+   documenting it fails CI — the tables are the user-facing contract,
+   and silent drift there is how option docs rot.
 
 2. Intra-repo markdown links: every relative link in the maintained
    documents (README.md, ROADMAP.md, docs/*.md) must point at a file
@@ -28,10 +29,11 @@ import sys
 from pathlib import Path
 
 KNOB_DOC = "docs/SERVING.md"
-# (header, struct name, SERVING.md section) per documented knob struct.
+# (header, struct name, SERVING.md section) per documented struct.
 KNOB_SPECS = (
     ("src/serve/serving_engine.h", "EngineOptions", "### Policy knobs"),
     ("src/serve/router.h", "RouterOptions", "### Router knobs"),
+    ("src/serve/serving_engine.h", "EngineStats", "### Engine statistics"),
 )
 DOC_FILES = ("README.md", "ROADMAP.md")
 DOC_GLOBS = ("docs/*.md",)
@@ -124,7 +126,7 @@ def check_knobs(repo, errors):
             if "`%s`" % field not in section:
                 errors.append(
                     "%s: %s::%s is not mentioned in the '%s' "
-                    "section — document the knob (or its interaction "
+                    "section — document the field (or its interaction "
                     "with an existing row)" %
                     (KNOB_DOC, struct, field, section_name))
 
