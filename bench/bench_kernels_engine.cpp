@@ -1,9 +1,10 @@
 /**
  * @file
  * Machine-readable microbenchmark of the KernelDispatch engine: GEMM
- * GFLOP/s and block-quantization GB/s per backend and shape, emitted as
- * JSON so future PRs have a performance trajectory to regress against
- * (the committed snapshot lives in BENCH_kernels.json).
+ * GFLOP/s and block-quantization GB/s per backend and shape, and the
+ * serving linears' cost with and without the quantize-once weight store,
+ * emitted as JSON so future PRs have a performance trajectory to regress
+ * against (the committed snapshot lives in BENCH_kernels.json).
  *
  * Usage: bench_kernels_engine [--quick] [--out FILE]
  *
@@ -22,8 +23,10 @@
 
 #include "codec/page_codec.h"
 #include "common/rng.h"
+#include "baselines/format_quantizers.h"
 #include "kernels/kernel_dispatch.h"
 #include "mx/mx_quantizer.h"
+#include "mx/weight_store.h"
 #include "tensor/tensor.h"
 
 namespace mxplus {
@@ -84,6 +87,14 @@ struct GemmResult
     size_t m, n, k;
     double ref_gflops;
     double simd_gflops;
+};
+
+struct StoreResult
+{
+    std::string format;
+    size_t m, n, k;
+    double quantize_gemm_ms; ///< quantizeRows(W) + gemmNT, per call
+    double store_gemm_ms;    ///< gemmNT from the weight store, per call
 };
 
 struct QuantResult
@@ -167,6 +178,35 @@ benchPack(ElementFormat fmt, MxMode mode, size_t rows, size_t cols,
     QuantResult r{q.name(), mxModeName(mode), "quantizePack", 0.0, 0.0};
     r.ref_gbps = run(KernelBackend::Reference);
     r.simd_gbps = run(KernelBackend::Simd);
+    return r;
+}
+
+/**
+ * One serving linear, y = x W^T with W [n x k] and m activation rows, on
+ * the active backend: quantizing the float weight and multiplying (the
+ * per-call path every non-MX weight quantizer takes) against one GEMM
+ * that decodes the weight store's blocks into its B panels. The
+ * activation quantization both paths share is left out.
+ */
+StoreResult
+benchStoreLinear(const std::string &format, size_t m, size_t n, size_t k,
+                 double min_time)
+{
+    const QuantizerPtr tq = makeQuantizerByName(format);
+    const Matrix w = randomMatrix(n, k, 6);
+    const Matrix aq = tq->quantized(randomMatrix(m, k, 7));
+    const MxPanelWeight store(*tq->mxQuantizer(), w);
+    Matrix wq(n, k);
+    Matrix c(m, n);
+    StoreResult r{format, m, n, k, 0.0, 0.0};
+    r.quantize_gemm_ms = 1e3 * timeIt(
+                                   [&] {
+                                       tq->quantize(w, wq);
+                                       KernelDispatch::gemmNT(aq, wq, c);
+                                   },
+                                   min_time);
+    r.store_gemm_ms = 1e3 *
+        timeIt([&] { KernelDispatch::gemmNT(aq, store, c); }, min_time);
     return r;
 }
 
@@ -293,6 +333,23 @@ main(int argc, char **argv)
         }
     }
 
+    // The bench model's (sim-llama-3.1-70b) three linear shapes: the
+    // attention projections [256 x 256], the FFN in-projections
+    // [640 x 256] and the out-projection [256 x 640], at a decode step,
+    // a batch-8 decode step and a 128-token prefill chunk.
+    std::vector<StoreResult> store;
+    const std::pair<size_t, size_t> linears[] = {
+        {256, 256}, {640, 256}, {256, 640}};
+    for (const char *format : {"MXFP4+", "MXFP8"}) {
+        for (const auto &[n, k] : linears) {
+            for (size_t m : {size_t{1}, size_t{8}, size_t{128}}) {
+                std::fprintf(stderr, "store %s %zux%zu m=%zu...\n", format,
+                             n, k, m);
+                store.push_back(benchStoreLinear(format, m, n, k, min_time));
+            }
+        }
+    }
+
     FILE *out = stdout;
     if (out_path != nullptr) {
         out = std::fopen(out_path, "w");
@@ -329,6 +386,18 @@ main(int argc, char **argv)
                      q.api, q.format.c_str(), q.mode, q.ref_gbps,
                      q.simd_gbps, q.simd_gbps / q.ref_gbps,
                      i + 1 < quant.size() ? "," : "");
+    }
+    std::fprintf(out, "  ],\n");
+    std::fprintf(out, "  \"weight_store\": [\n");
+    for (size_t i = 0; i < store.size(); ++i) {
+        const auto &s = store[i];
+        std::fprintf(out,
+                     "    {\"format\": \"%s\", \"m\": %zu, \"n\": %zu, "
+                     "\"k\": %zu, \"quantize_gemm_ms\": %.4f, "
+                     "\"store_gemm_ms\": %.4f, \"speedup\": %.2f}%s\n",
+                     s.format.c_str(), s.m, s.n, s.k, s.quantize_gemm_ms,
+                     s.store_gemm_ms, s.quantize_gemm_ms / s.store_gemm_ms,
+                     i + 1 < store.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n");
     std::fprintf(out, "}\n");

@@ -61,6 +61,7 @@ class MxTensorQuantizer final : public TensorQuantizer
         return static_cast<size_t>(q_.blockSize());
     }
 
+    const MxQuantizer *mxQuantizer() const override { return &q_; }
     std::string name() const override { return q_.name(); }
     double avgBits() const override { return q_.avgBitsPerElement(); }
 

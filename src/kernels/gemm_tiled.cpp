@@ -54,6 +54,22 @@ packB(float *panel, const float *b, size_t ldb, bool b_transposed,
     }
 }
 
+/** A float B operand in either orientation (gemmTiled's packB source). */
+struct FloatB
+{
+    const float *b;
+    size_t ldb;
+    bool transposed;
+};
+
+void
+packFloatB(const void *src, float *panel, size_t pc, size_t kc, size_t jc,
+           size_t nc)
+{
+    const auto *fb = static_cast<const FloatB *>(src);
+    packB(panel, fb->b, fb->ldb, fb->transposed, pc, kc, jc, nc);
+}
+
 } // namespace
 
 void
@@ -93,6 +109,15 @@ gemmTiled(const float *a, size_t lda, const float *b, size_t ldb, float *c,
           size_t ldc, size_t m, size_t n, size_t k, bool b_transposed,
           MicroKernelFn kernel)
 {
+    const FloatB src{b, ldb, b_transposed};
+    gemmTiledPacked(a, lda, packFloatB, &src, c, ldc, m, n, k, kernel);
+}
+
+void
+gemmTiledPacked(const float *a, size_t lda, PackBFn pack, const void *src,
+                float *c, size_t ldc, size_t m, size_t n, size_t k,
+                MicroKernelFn kernel)
+{
     if (m == 0 || n == 0)
         return;
     if (k == 0) {
@@ -112,7 +137,7 @@ gemmTiled(const float *a, size_t lda, const float *b, size_t ldb, float *c,
     // blocking maximum) and reused across calls: the decode attention
     // issues thousands of tiny matvecs per step, and a fresh
     // zero-initialized worst-case panel per call costs more than the
-    // matvec itself. packB fully writes every panel region the
+    // matvec itself. Every packer fully writes every panel region the
     // microkernel reads, so reuse never leaks stale values; worker
     // threads of the row loop only read the panel, so a thread-local
     // buffer of the packing thread is safe (nested calls from parallel
@@ -131,7 +156,7 @@ gemmTiled(const float *a, size_t lda, const float *b, size_t ldb, float *c,
         const size_t nstrips = (nc + kNR - 1) / kNR;
         for (size_t pc = 0; pc < k; pc += kKC) {
             const size_t kc = std::min(kKC, k - pc);
-            packB(pdata, b, ldb, b_transposed, pc, kc, jc, nc);
+            pack(src, pdata, pc, kc, jc, nc);
             const bool accumulate = pc > 0;
             #pragma omp parallel for schedule(static) if (parallel_rows)
             for (size_t ic = 0; ic < m; ic += kMR) {

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "kernels/kernels_internal.h"
 #include "kernels/quantize_fused.h"
+#include "mx/weight_store.h"
 
 namespace mxplus {
 
@@ -36,6 +37,17 @@ simdMicroKernel()
 {
     return KernelDispatch::cpuHasAvx2Fma() ? kernels::microKernelAvx2
                                            : kernels::microKernelPortable;
+}
+
+void
+decodeSimdPanel(const void *src, float *panel, size_t pc, size_t kc, size_t jc,
+                size_t nc)
+{
+    const auto &w = *static_cast<const MxPanelWeight *>(src);
+    if (KernelDispatch::cpuHasAvx2Fma())
+        kernels::decodePanelAvx2(w, panel, pc, kc, jc, nc);
+    else
+        kernels::decodePanelReference(w, panel, pc, kc, jc, nc);
 }
 
 } // namespace
@@ -106,6 +118,42 @@ KernelDispatch::gemmNT(KernelBackend backend, const Matrix &a,
         kernels::gemmTiled(a.data(), k, b.data(), k, c.data(), n, m, n, k,
                            /*b_transposed=*/true, simdMicroKernel());
     }
+}
+
+void
+KernelDispatch::gemmNT(const Matrix &a, const MxPanelWeight &w, Matrix &c)
+{
+    gemmNT(active(), a, w, c);
+}
+
+void
+KernelDispatch::gemmNT(KernelBackend backend, const Matrix &a,
+                       const MxPanelWeight &w, Matrix &c)
+{
+    const size_t m = a.rows();
+    const size_t k = a.cols();
+    const size_t n = w.rows();
+    MXPLUS_CHECK(w.cols() == k);
+    MXPLUS_CHECK(c.rows() == m && c.cols() == n);
+    if (backend == KernelBackend::Reference) {
+        Matrix wq(n, k);
+        kernels::decodeRowsReference(w, wq.data());
+        kernels::gemmNTReference(a.data(), wq.data(), c.data(), m, n, k);
+    } else {
+        kernels::gemmTiledPacked(a.data(), k, decodeSimdPanel, &w, c.data(), n,
+                                 m, n, k, simdMicroKernel());
+    }
+}
+
+void
+KernelDispatch::decodeWeightPanel(KernelBackend backend,
+                                  const MxPanelWeight &w, size_t pc, size_t kc,
+                                  size_t jc, size_t nc, float *panel)
+{
+    if (backend == KernelBackend::Reference)
+        kernels::decodePanelReference(w, panel, pc, kc, jc, nc);
+    else
+        decodeSimdPanel(&w, panel, pc, kc, jc, nc);
 }
 
 void
@@ -211,7 +259,9 @@ KernelDispatch::quantizeRows(KernelBackend backend, const MxQuantizer &q,
 {
     if (backend == KernelBackend::Reference) {
         const int bs = q.blockSize();
-        #pragma omp parallel for schedule(static)
+        const bool parallel = kernels::parallelQuantize(rows, cols);
+        (void)parallel; // only consumed by the pragma; unused sans OpenMP
+        #pragma omp parallel for schedule(static) if (parallel)
         for (size_t r = 0; r < rows; ++r) {
             const float *src = in + r * cols;
             float *dst = out + r * cols;

@@ -4,8 +4,8 @@
  *
  * Every hot inner loop of the library (GEMM in the transformer substrate,
  * block quantization in the MX emulation flow, quantize-and-pack for
- * PackedMatrix) funnels through this single dispatch point. Two backends
- * are provided:
+ * PackedMatrix, the weight store's B-panel decode) funnels through this
+ * single dispatch point. Two backends are provided:
  *
  *  - Reference: the original scalar kernels, kept verbatim for parity
  *    testing and as the semantic ground truth.
@@ -30,6 +30,8 @@
 #include "tensor/tensor.h"
 
 namespace mxplus {
+
+class MxPanelWeight;
 
 /** Selectable kernel engine. */
 enum class KernelBackend
@@ -71,6 +73,32 @@ class KernelDispatch
     static void gemmNT(const Matrix &a, const Matrix &b, Matrix &c);
     static void gemmNT(KernelBackend backend, const Matrix &a,
                        const Matrix &b, Matrix &c);
+
+    /**
+     * C[M x N] = A[M x K] * W[N x K]^T for a weight held in the MX
+     * weight store (mx/weight_store.h): bit-identical to gemmNT(a, Wq,
+     * c) where Wq is the fake-quantized float weight, on either backend.
+     * Simd decodes each B panel straight from the store (see
+     * decodeWeightPanel); Reference decodes W to row-major floats and
+     * runs the scalar GEMM.
+     */
+    static void gemmNT(const Matrix &a, const MxPanelWeight &w, Matrix &c);
+    static void gemmNT(KernelBackend backend, const Matrix &a,
+                       const MxPanelWeight &w, Matrix &c);
+
+    /**
+     * Decode the [kc x nc] B panel at depth @p pc and output column
+     * @p jc of a stored weight, in the tiled GEMM's strip layout
+     * (kernels_internal.h), zero-padded to whole kNR-wide strips: the
+     * floats gemmTiled's packB would copy out of the fake-quantized
+     * weight. @p pc and @p kc are multiples of the block size and
+     * @p jc of kNR. The Simd backend looks codes up in float tables
+     * (AVX2); the Reference backend decodes block by block through
+     * MxQuantizer::decodeBlock. Both write the same panel.
+     */
+    static void decodeWeightPanel(KernelBackend backend,
+                                  const MxPanelWeight &w, size_t pc, size_t kc,
+                                  size_t jc, size_t nc, float *panel);
 
     /** C[M x N] = A[M x K] * B[K x N]. */
     static void gemmNN(const Matrix &a, const Matrix &b, Matrix &c);

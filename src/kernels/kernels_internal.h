@@ -34,6 +34,10 @@
 
 #include <cstddef>
 
+namespace mxplus {
+class MxPanelWeight;
+} // namespace mxplus
+
 namespace mxplus::kernels {
 
 inline constexpr size_t kMR = 6;   ///< microkernel rows (register tile)
@@ -62,10 +66,39 @@ void microKernelAvx2(size_t kc, const float *a, size_t lda,
                      const float *bpanel, float *c, size_t ldc, size_t mr,
                      size_t nr, bool accumulate);
 
+/**
+ * Fills the B panel of rows [pc, pc + kc) and columns [jc, jc + nc) of
+ * the logical [K x N] B operand @p src, in the strip layout above
+ * (zero-padded to whole strips).
+ */
+using PackBFn = void (*)(const void *src, float *panel, size_t pc, size_t kc,
+                         size_t jc, size_t nc);
+
 /** Tiled GEMM driver; @p b_transposed selects NT ([N x K] B) vs NN. */
 void gemmTiled(const float *a, size_t lda, const float *b, size_t ldb,
                float *c, size_t ldc, size_t m, size_t n, size_t k,
                bool b_transposed, MicroKernelFn kernel);
+
+/** The same tiled GEMM over a B operand @p pack writes into panels. */
+void gemmTiledPacked(const float *a, size_t lda, PackBFn pack, const void *src,
+                     float *c, size_t ldc, size_t m, size_t n, size_t k,
+                     MicroKernelFn kernel);
+
+/**
+ * Decode the B panel (pc, kc, jc, nc) of a stored MX weight (NT
+ * orientation: B = W^T) into @p panel, bit-identical to packing the
+ * fake-quantized float weight. pc and kc are multiples of the block
+ * size, jc a multiple of kNR. The reference backend decodes every
+ * block through MxQuantizer::decodeBlock; the AVX2 backend looks codes
+ * up in per-format float tables.
+ */
+void decodePanelReference(const MxPanelWeight &w, float *panel, size_t pc,
+                          size_t kc, size_t jc, size_t nc);
+void decodePanelAvx2(const MxPanelWeight &w, float *panel, size_t pc,
+                     size_t kc, size_t jc, size_t nc);
+
+/** Decode a stored MX weight to row-major [N x K] floats (reference). */
+void decodeRowsReference(const MxPanelWeight &w, float *out);
 
 /** Reference (original scalar) GEMM kernels. */
 void gemmNTReference(const float *a, const float *b, float *c, size_t m,

@@ -494,7 +494,9 @@ fusedQuantizeRows(const MxQuantizer &q, const float *in, float *out,
     const int emax = q.emax();
     const int bs = q.blockSize();
     const bool avx2_ok = KernelDispatch::cpuHasAvx2Fma();
-    #pragma omp parallel for schedule(static)
+    const bool parallel = parallelQuantize(rows, cols);
+    (void)parallel; // only consumed by the pragma; unused sans OpenMP
+    #pragma omp parallel for schedule(static) if (parallel)
     for (size_t r = 0; r < rows; ++r) {
         const float *src = in + r * cols;
         float *dst = out + r * cols;
@@ -509,6 +511,22 @@ fusedQuantizeRows(const MxQuantizer &q, const float *in, float *out,
     }
 }
 
+void
+fusedEncodeRow(const MxQuantizer &q, const float *row, size_t cols,
+               MxBlock *out)
+{
+    const size_t bs = static_cast<size_t>(q.blockSize());
+    MXPLUS_CHECK_MSG(cols % bs == 0,
+                     "matrix cols must be a multiple of the block size");
+    const ElemGrid grid(q.format());
+    const int emax = q.emax();
+    const bool avx2_ok = KernelDispatch::cpuHasAvx2Fma();
+    for (size_t b = 0; b < cols / bs; ++b) {
+        out[b] = fusedEncodeBlock(q, grid, emax, row + b * bs,
+                                  static_cast<int>(bs), avx2_ok);
+    }
+}
+
 std::vector<MxBlock>
 fusedQuantizePack(const MxQuantizer &q, const float *data, size_t rows,
                   size_t cols)
@@ -517,18 +535,12 @@ fusedQuantizePack(const MxQuantizer &q, const float *data, size_t rows,
     MXPLUS_CHECK_MSG(cols % bs == 0,
                      "matrix cols must be a multiple of the block size");
     const size_t bpr = cols / bs;
-    const ElemGrid grid(q.format());
-    const int emax = q.emax();
-    const bool avx2_ok = KernelDispatch::cpuHasAvx2Fma();
     std::vector<MxBlock> blocks(rows * bpr);
-    #pragma omp parallel for schedule(static)
-    for (size_t r = 0; r < rows; ++r) {
-        for (size_t b = 0; b < bpr; ++b) {
-            blocks[r * bpr + b] =
-                fusedEncodeBlock(q, grid, emax, data + r * cols + b * bs,
-                                 static_cast<int>(bs), avx2_ok);
-        }
-    }
+    const bool parallel = parallelQuantize(rows, cols);
+    (void)parallel; // only consumed by the pragma; unused sans OpenMP
+    #pragma omp parallel for schedule(static) if (parallel)
+    for (size_t r = 0; r < rows; ++r)
+        fusedEncodeRow(q, data + r * cols, cols, blocks.data() + r * bpr);
     return blocks;
 }
 

@@ -28,6 +28,24 @@ std::vector<MxBlock> fusedQuantizePack(const MxQuantizer &q,
                                        const float *data, size_t rows,
                                        size_t cols);
 
+/**
+ * The per-row encoder of fusedQuantizePack: encode the cols / blockSize
+ * blocks of one row into @p out (cols % blockSize == 0), for callers
+ * that lay the blocks out themselves (the MX weight store).
+ */
+void fusedEncodeRow(const MxQuantizer &q, const float *row, size_t cols,
+                    MxBlock *out);
+
+/**
+ * Work-size gate of the quantizers' OpenMP row loops (the same size as
+ * gemmTiled's): a decode-step activation row forks no thread team.
+ */
+inline bool
+parallelQuantize(size_t rows, size_t cols)
+{
+    return rows > 1 && rows * cols > (size_t{1} << 16);
+}
+
 } // namespace mxplus::kernels
 
 #endif // MXPLUS_KERNELS_QUANTIZE_FUSED_H

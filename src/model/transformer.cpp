@@ -44,7 +44,8 @@ rmsnormVec(const std::vector<float> &x, const std::vector<float> &gain)
 
 } // namespace
 
-Transformer::Transformer(const ModelConfig &cfg) : cfg_(cfg)
+Transformer::Transformer(const ModelConfig &cfg)
+    : cfg_(cfg), stores_(std::make_unique<WeightStores>())
 {
     MXPLUS_CHECK_MSG(cfg_.d_model % cfg_.n_heads == 0,
                      "d_model must divide by n_heads");
@@ -136,6 +137,30 @@ Transformer::Transformer(const ModelConfig &cfg) : cfg_(cfg)
     }
 }
 
+const MxWeightStore *
+Transformer::weightStore(const TensorQuantizer &weight_q) const
+{
+    const MxQuantizer *q = weight_q.mxQuantizer();
+    if (q == nullptr)
+        return nullptr;
+    for (size_t i = 0; i <= headIndex(); ++i) {
+        if (!MxPanelWeight::fits(*q, linearAt(i).cols()))
+            return nullptr;
+    }
+    std::lock_guard<std::mutex> lk(stores_->mu);
+    for (const auto &store : stores_->built) {
+        const MxQuantizer &sq = store->quantizer();
+        if (sq.format() == q->format() && sq.mode() == q->mode() &&
+            sq.blockSize() == q->blockSize())
+            return store.get();
+    }
+    std::vector<const Matrix *> weights;
+    for (size_t i = 0; i <= headIndex(); ++i)
+        weights.push_back(&linearAt(i));
+    stores_->built.push_back(std::make_unique<MxWeightStore>(*q, weights));
+    return stores_->built.back().get();
+}
+
 Matrix
 Transformer::embed(const std::vector<int> &tokens) const
 {
@@ -160,14 +185,14 @@ Transformer::embedAt(const std::vector<int> &tokens, size_t pos0) const
 }
 
 Matrix
-Transformer::applyLinear(const std::string &name, const Matrix &x,
-                         const Matrix &w, const QuantConfig &qc,
-                         bool is_head) const
+Transformer::applyLinear(size_t index, const Matrix &x,
+                         const QuantConfig &qc) const
 {
+    const Matrix &w = linearAt(index);
     if (capture_)
-        capture_(name, x);
+        capture_(linearName(index), x);
 
-    if (is_head && !qc.quantize_head) {
+    if (index == headIndex() && !qc.quantize_head) {
         Matrix xq = x;
         roundMatrixToBf16(xq);
         return matmulNT(xq, w);
@@ -175,7 +200,7 @@ Transformer::applyLinear(const std::string &name, const Matrix &x,
 
     GemmSchemePtr scheme;
     if (qc.scheme_lookup)
-        scheme = qc.scheme_lookup(name);
+        scheme = qc.scheme_lookup(linearName(index));
     if (scheme) {
         Matrix aq;
         Matrix wq;
@@ -184,8 +209,12 @@ Transformer::applyLinear(const std::string &name, const Matrix &x,
     }
 
     const Matrix aq = qc.act->quantized(x);
-    const Matrix wq = qc.weight->quantized(w);
-    return matmulNT(aq, wq);
+    if (const MxWeightStore *store = weightStore(*qc.weight)) {
+        Matrix y(aq.rows(), w.rows());
+        KernelDispatch::gemmNT(aq, store->weight(index), y);
+        return y;
+    }
+    return matmulNT(aq, qc.weight->quantized(w));
 }
 
 Matrix
@@ -204,9 +233,9 @@ Transformer::attentionBlock(size_t layer, const Matrix &x,
     if (capture_)
         capture_(prefix + "attn_in", h);
 
-    const Matrix q = applyLinear(prefix + "wq", h, lw.wq, qc, false);
-    const Matrix k = applyLinear(prefix + "wk", h, lw.wk, qc, false);
-    const Matrix v = applyLinear(prefix + "wv", h, lw.wv, qc, false);
+    const Matrix q = applyLinear(linearIndex(layer, kWq), h, qc);
+    const Matrix k = applyLinear(linearIndex(layer, kWk), h, qc);
+    const Matrix v = applyLinear(linearIndex(layer, kWv), h, qc);
 
     if (cache != nullptr)
         cache->appendBatch(layer, k, v);
@@ -293,7 +322,7 @@ Transformer::attentionBlock(size_t layer, const Matrix &x,
         }
     }
 
-    return applyLinear(prefix + "wo", attn_out, lw.wo, qc, false);
+    return applyLinear(linearIndex(layer, kWo), attn_out, qc);
 }
 
 void
@@ -414,13 +443,12 @@ Transformer::mlpBlock(size_t layer, const Matrix &x,
     if (capture_)
         capture_(prefix + "mlp_in", h);
 
-    const Matrix gate = applyLinear(prefix + "w_gate", h, lw.w_gate, qc,
-                                    false);
-    const Matrix up = applyLinear(prefix + "w_up", h, lw.w_up, qc, false);
+    const Matrix gate = applyLinear(linearIndex(layer, kWGate), h, qc);
+    const Matrix up = applyLinear(linearIndex(layer, kWUp), h, qc);
     const Matrix act = swiglu(gate, up);
     if (capture_)
         capture_(prefix + "down_in", act);
-    return applyLinear(prefix + "w_down", act, lw.w_down, qc, false);
+    return applyLinear(linearIndex(layer, kWDown), act, qc);
 }
 
 Matrix
@@ -438,7 +466,7 @@ Transformer::runLayers(Matrix x, const QuantConfig &qc, KvCache *cache,
         KernelDispatch::roundRowsToBf16(x.data(), x.size());
     }
     const Matrix h = rmsnorm(x, final_gain_);
-    return applyLinear("head", h, head_, qc, true);
+    return applyLinear(headIndex(), h, qc);
 }
 
 Matrix
@@ -519,10 +547,11 @@ Transformer::decodeStepBatch(const std::vector<int> &tokens,
         if (capture_)
             capture_(prefix + "attn_in", h);
         // One GEMM per projection over all request rows: the batched
-        // matvec that amortizes weight quantization and panel packing.
-        const Matrix q = applyLinear(prefix + "wq", h, lw.wq, qc, false);
-        const Matrix k = applyLinear(prefix + "wk", h, lw.wk, qc, false);
-        const Matrix v = applyLinear(prefix + "wv", h, lw.wv, qc, false);
+        // matvec that amortizes each weight panel's decode (or, for a
+        // weight quantizer without a store, quantization and packing).
+        const Matrix q = applyLinear(linearIndex(layer, kWq), h, qc);
+        const Matrix k = applyLinear(linearIndex(layer, kWk), h, qc);
+        const Matrix v = applyLinear(linearIndex(layer, kWv), h, qc);
 
         // Attention is per-request (each has its own history/cache).
         // Rows are independent — disjoint caches, disjoint output rows
@@ -545,7 +574,7 @@ Transformer::decodeStepBatch(const std::vector<int> &tokens,
             }
         }
         const Matrix o =
-            applyLinear(prefix + "wo", attn_out, lw.wo, qc, false);
+            applyLinear(linearIndex(layer, kWo), attn_out, qc);
         for (size_t i = 0; i < x.size(); ++i)
             x.data()[i] += o.data()[i];
         KernelDispatch::roundRowsToBf16(x.data(), x.size());
@@ -557,7 +586,7 @@ Transformer::decodeStepBatch(const std::vector<int> &tokens,
     }
 
     const Matrix h = rmsnorm(x, final_gain_);
-    Matrix logits = applyLinear("head", h, head_, qc, true);
+    Matrix logits = applyLinear(headIndex(), h, qc);
     for (size_t r = 0; r < b; ++r)
         caches[r]->commit(1);
     return logits;
@@ -700,47 +729,56 @@ Transformer::sample(Rng &rng, size_t length, double temperature,
     return tokens;
 }
 
+namespace {
+
+const char *const kSlotNames[] = {"wq",     "wk",   "wv",    "wo",
+                                  "w_gate", "w_up", "w_down"};
+
+} // namespace
+
+std::string
+Transformer::linearName(size_t index) const
+{
+    if (index == headIndex())
+        return "head";
+    return "L" + std::to_string(index / kLinearsPerLayer) + "." +
+        kSlotNames[index % kLinearsPerLayer];
+}
+
+const Matrix &
+Transformer::linearAt(size_t index) const
+{
+    MXPLUS_CHECK(index <= headIndex());
+    if (index == headIndex())
+        return head_;
+    const LayerWeights &lw = layers_[index / kLinearsPerLayer];
+    switch (static_cast<LinearSlot>(index % kLinearsPerLayer)) {
+      case kWq: return lw.wq;
+      case kWk: return lw.wk;
+      case kWv: return lw.wv;
+      case kWo: return lw.wo;
+      case kWGate: return lw.w_gate;
+      case kWUp: return lw.w_up;
+      default: return lw.w_down;
+    }
+}
+
 std::vector<std::string>
 Transformer::linearNames() const
 {
     std::vector<std::string> names;
-    for (size_t l = 0; l < cfg_.n_layers; ++l) {
-        const std::string p = "L" + std::to_string(l) + ".";
-        for (const char *s :
-             {"wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down"}) {
-            names.push_back(p + s);
-        }
-    }
-    names.push_back("head");
+    for (size_t i = 0; i <= headIndex(); ++i)
+        names.push_back(linearName(i));
     return names;
 }
 
 const Matrix &
 Transformer::linearWeight(const std::string &name) const
 {
-    if (name == "head")
-        return head_;
-    MXPLUS_CHECK(name.size() > 3 && name[0] == 'L');
-    const size_t dot = name.find('.');
-    MXPLUS_CHECK(dot != std::string::npos);
-    const size_t layer = std::stoul(name.substr(1, dot - 1));
-    MXPLUS_CHECK(layer < layers_.size());
-    const std::string field = name.substr(dot + 1);
-    const LayerWeights &lw = layers_[layer];
-    if (field == "wq")
-        return lw.wq;
-    if (field == "wk")
-        return lw.wk;
-    if (field == "wv")
-        return lw.wv;
-    if (field == "wo")
-        return lw.wo;
-    if (field == "w_gate")
-        return lw.w_gate;
-    if (field == "w_up")
-        return lw.w_up;
-    if (field == "w_down")
-        return lw.w_down;
+    for (size_t i = 0; i <= headIndex(); ++i) {
+        if (linearName(i) == name)
+            return linearAt(i);
+    }
     fatal("unknown linear name: " + name);
 }
 

@@ -35,18 +35,28 @@
  *  - The teacher path (a KvCache in teacher mode) reproduces the original
  *    float/double sampling loop bit-exactly; sample() runs on it, so
  *    teacher datasets are stable across the serving refactor.
+ *
+ * Weights are quantized once per MX weight configuration: the first pass
+ * that needs them builds a read-only MxWeightStore (mx/weight_store.h)
+ * that the model owns and every later pass, thread and shard reads (see
+ * weightStore()). The linears then run one GEMM that decodes the stored
+ * blocks into its B panels, bit-identical to quantizing the float weight
+ * on every call, which is what every other weight quantizer still does.
  */
 
 #ifndef MXPLUS_MODEL_TRANSFORMER_H
 #define MXPLUS_MODEL_TRANSFORMER_H
 
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "model/config.h"
 #include "model/quant_config.h"
+#include "mx/weight_store.h"
 #include "tensor/tensor.h"
 
 namespace mxplus {
@@ -159,6 +169,20 @@ class Transformer
     /** Names of all quantized linear layers ("L0.wq", ..., "head"). */
     std::vector<std::string> linearNames() const;
 
+    /**
+     * The weight store for weight quantizer @p weight_q: every linear,
+     * in linearNames() order, quantized once into the MX block layout.
+     * Built on the first call for an MX configuration (format, mode,
+     * block size) and shared by every later caller, on any thread,
+     * until the model is destroyed; one store exists per configuration.
+     * Returns null, and linears keep quantizing the float weight per
+     * call, when @p weight_q is not an MX quantizer
+     * (TensorQuantizer::mxQuantizer()) or its block size does not
+     * divide every linear's K and the GEMM panel depth. Serving engines
+     * call it at construction so that no request pays the build.
+     */
+    const MxWeightStore *weightStore(const TensorQuantizer &weight_q) const;
+
     /** The weight matrix of a named linear (for scheme calibration). */
     const Matrix &linearWeight(const std::string &name) const;
 
@@ -180,11 +204,34 @@ class Transformer
     const ModelConfig &config() const { return cfg_; }
 
   private:
+    /** Linear slots of a decoder layer, in linearNames() order; the LM
+        head follows the last layer's. */
+    enum LinearSlot : size_t
+    {
+        kWq,
+        kWk,
+        kWv,
+        kWo,
+        kWGate,
+        kWUp,
+        kWDown,
+        kLinearsPerLayer,
+    };
+    /** Index of a layer's linear in linearNames() order. */
+    static size_t
+    linearIndex(size_t layer, LinearSlot slot)
+    {
+        return layer * kLinearsPerLayer + slot;
+    }
+    size_t headIndex() const { return cfg_.n_layers * kLinearsPerLayer; }
+    const Matrix &linearAt(size_t index) const;
+    std::string linearName(size_t index) const;
+
     Matrix embed(const std::vector<int> &tokens) const;
     Matrix embedAt(const std::vector<int> &tokens, size_t pos0) const;
-    Matrix applyLinear(const std::string &name, const Matrix &x,
-                       const Matrix &w, const QuantConfig &qc,
-                       bool is_head) const;
+    /** y = x W^T for linear @p index under @p qc (its store if any). */
+    Matrix applyLinear(size_t index, const Matrix &x,
+                       const QuantConfig &qc) const;
     /**
      * Attention for rows at positions [pos0, pos0 + x.rows()). With a
      * cache, the new K/V rows are appended and attention runs over the
@@ -213,6 +260,14 @@ class Transformer
     std::vector<float> final_gain_;
     std::vector<LayerWeights> layers_;
     mutable CaptureHook capture_;
+    /** The weight stores weightStore() built, one per MX configuration;
+        held by pointer so that the model stays movable. */
+    struct WeightStores
+    {
+        std::mutex mu;
+        std::vector<std::unique_ptr<const MxWeightStore>> built;
+    };
+    std::unique_ptr<WeightStores> stores_;
 };
 
 } // namespace mxplus

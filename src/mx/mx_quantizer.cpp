@@ -159,9 +159,10 @@ MxQuantizer::fakeQuantizeRows(const float *in, float *out, size_t rows,
                               size_t cols) const
 {
     // Rows are independent; this is the hot loop of every model-quality
-    // experiment (weights are re-quantized on each forward pass). The
-    // dispatch engine fuses the amax/shared-exponent/rounding sweep and
-    // vectorizes it; fakeQuantizeBlock stays the scalar ground truth.
+    // experiment's activations (the model quantizes MX weights once, see
+    // mx/weight_store.h). The dispatch engine fuses the amax/shared-
+    // exponent/rounding sweep and vectorizes it; fakeQuantizeBlock stays
+    // the scalar ground truth.
     KernelDispatch::quantizeRows(*this, in, out, rows, cols);
 }
 

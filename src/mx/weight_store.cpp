@@ -1,0 +1,122 @@
+#include "mx/weight_store.h"
+
+#include "common/check.h"
+#include "formats/element_format.h"
+#include "kernels/kernels_internal.h"
+#include "kernels/quantize_fused.h"
+
+namespace mxplus {
+
+namespace {
+
+using kernels::kNR;
+
+/** OR @p code into lane @p lane of a zero-initialized packed row. */
+void
+putCode(uint8_t *row, size_t lane, int bits, uint32_t code)
+{
+    const size_t bit = lane * static_cast<size_t>(bits);
+    const uint32_t v = code << (bit % 8);
+    row[bit / 8] |= static_cast<uint8_t>(v);
+    if (bit % 8 + static_cast<size_t>(bits) > 8)
+        row[bit / 8 + 1] |= static_cast<uint8_t>(v >> 8);
+}
+
+} // namespace
+
+bool
+MxPanelWeight::fits(const MxQuantizer &q, size_t k)
+{
+    const size_t bs = static_cast<size_t>(q.blockSize());
+    return k > 0 && k % bs == 0 && kernels::kKC % bs == 0;
+}
+
+MxPanelWeight::MxPanelWeight(const MxQuantizer &q, const Matrix &w)
+    : q_(q), rows_(w.rows()), cols_(w.cols()),
+      code_bits_(elementFormatInfo(q.format()).bits),
+      row_bytes_(kNR * static_cast<size_t>(code_bits_) / 8),
+      depth_blocks_(w.cols() / static_cast<size_t>(q.blockSize()))
+{
+    MXPLUS_CHECK_MSG(fits(q, cols_),
+                     "weight store: the block size must divide K and the "
+                     "GEMM panel depth");
+    const size_t bs = static_cast<size_t>(q.blockSize());
+    const size_t strips = (rows_ + kNR - 1) / kNR;
+    const bool plus = q.mode() != MxMode::Standard;
+    codes_.assign(strips * cols_ * row_bytes_, 0);
+    scales_.assign(strips * depth_blocks_ * kNR, 0);
+    if (plus)
+        metas_.assign(scales_.size(), 0);
+    // The +0 element code: MXINT codes are offset into unsigned space.
+    const uint32_t zero_code = elementFormatInfo(q.format()).is_float
+        ? 0u
+        : 1u << (code_bits_ - 1);
+
+    std::vector<MxBlock> blocks(depth_blocks_);
+    for (size_t n = 0; n < strips * kNR; ++n) {
+        const size_t s = n / kNR;
+        const size_t lane = n % kNR;
+        const bool pad = n >= rows_;
+        if (!pad)
+            kernels::fusedEncodeRow(q, w.row(n), cols_, blocks.data());
+        uint8_t *codes = codes_.data() + s * cols_ * row_bytes_;
+        const size_t meta0 = s * depth_blocks_ * kNR + lane;
+        for (size_t b = 0; b < depth_blocks_; ++b) {
+            const MxBlock &blk = blocks[b];
+            const bool zero = pad ||
+                (plus && blk.scale_code == E8M0::kZeroBlock);
+            scales_[meta0 + b * kNR] = zero ? E8M0::kZeroBlock
+                                            : blk.scale_code;
+            if (plus && !zero) {
+                metas_[meta0 + b * kNR] = static_cast<uint8_t>(
+                    blk.bm_index | blk.nbm_delta << 5);
+            }
+            const float *in = pad ? nullptr : w.row(n) + b * bs;
+            for (size_t i = 0; i < bs; ++i) {
+                const uint32_t code =
+                    zero || in[i] == 0.0f ? zero_code : blk.codes[i];
+                putCode(codes + (b * bs + i) * row_bytes_, lane,
+                        code_bits_, code);
+            }
+        }
+    }
+}
+
+const uint8_t *
+MxPanelWeight::stripScales(size_t s) const
+{
+    return scales_.data() + s * depth_blocks_ * kNR;
+}
+
+const uint8_t *
+MxPanelWeight::stripMetas(size_t s) const
+{
+    return metas_.empty() ? nullptr
+                          : metas_.data() + s * depth_blocks_ * kNR;
+}
+
+size_t
+MxPanelWeight::bytes() const
+{
+    return codes_.size() + scales_.size() + metas_.size();
+}
+
+MxWeightStore::MxWeightStore(const MxQuantizer &q,
+                             const std::vector<const Matrix *> &weights)
+    : q_(q)
+{
+    weights_.reserve(weights.size());
+    for (const Matrix *w : weights)
+        weights_.emplace_back(q, *w);
+}
+
+size_t
+MxWeightStore::bytes() const
+{
+    size_t total = 0;
+    for (const MxPanelWeight &w : weights_)
+        total += w.bytes();
+    return total;
+}
+
+} // namespace mxplus

@@ -98,6 +98,10 @@ ServingEngine::ServingEngine(const Transformer &model, QuantConfig qc,
     MXPLUS_CHECK_MSG(opts_.max_batch > 0, "max_batch must be positive");
     MXPLUS_CHECK_MSG(qc_.attention != nullptr,
                      "ServingEngine needs an attention quantizer");
+    // Quantize the weights now (or find the store another engine over
+    // this model built), so that no request pays for it.
+    if (qc_.weight != nullptr)
+        weights_ = model_.weightStore(*qc_.weight);
     const size_t pt = opts_.page_tokens > 0
         ? opts_.page_tokens
         : KvCache::pageTokensFor(qc_.attention.get());

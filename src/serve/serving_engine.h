@@ -502,6 +502,10 @@ class ServingEngine
      */
     void clearPrefixCache();
     const EngineOptions &options() const { return opts_; }
+    /** The model's quantize-once weight store this engine's linears
+        read, built at construction (Transformer::weightStore); null
+        when the weight quantizer quantizes per call. */
+    const MxWeightStore *weightStore() const { return weights_; }
     /** The policy layer (tests/debugging). */
     const Scheduler &scheduler() const { return *scheduler_; }
     /** The prefix trie, nullptr when sharing is off (tests/debugging —
@@ -632,6 +636,7 @@ class ServingEngine
     const Transformer &model_;
     QuantConfig qc_;
     EngineOptions opts_;
+    const MxWeightStore *weights_ = nullptr; ///< owned by model_
 
     std::shared_ptr<KvPagePool> pool_;
     size_t budget_pages_ = 0;    ///< 0 = unbounded

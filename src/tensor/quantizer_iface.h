@@ -18,6 +18,8 @@
 
 namespace mxplus {
 
+class MxQuantizer;
+
 /** Interface: round a row-major matrix to a storage format, in place. */
 class TensorQuantizer
 {
@@ -54,6 +56,14 @@ class TensorQuantizer
      * grows. Elementwise formats (BF16, FP32) return 1.
      */
     virtual size_t blockPeriod() const { return 0; }
+
+    /**
+     * The MX block quantizer this adapter applies, or null. Non-null
+     * means quantizeRows() is exactly MxQuantizer::fakeQuantizeRows, so
+     * a weight may be quantized once into the MX weight store
+     * (mx/weight_store.h) instead of on every call.
+     */
+    virtual const MxQuantizer *mxQuantizer() const { return nullptr; }
 
     /** Display name, e.g. "MXFP4+". */
     virtual std::string name() const = 0;
