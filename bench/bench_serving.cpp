@@ -508,8 +508,6 @@ runPoissonConfig(const Transformer &model, const std::string &format,
             std::exit(1);
         }
     }
-    // Finalize aggregate stats over the drained engine.
-    engine.runToCompletion(1);
     RunResult res = collectResult(engine, model, format, workload_name,
                                   reqs, ids, opts);
 
@@ -671,13 +669,13 @@ runShardedSim(const Transformer &model, const std::string &format,
                      kill_tick, rerouted);
     }
 
+    std::vector<EngineStats> live_stats;
+    for (size_t s = 0; s < num_shards; ++s)
+        if (s != dead)
+            live_stats.push_back(shards[s]->engineStats());
     std::vector<const EngineStats *> live;
-    for (size_t s = 0; s < num_shards; ++s) {
-        if (s == dead)
-            continue;
-        shards[s]->runToCompletion(1); // finalize aggregate stats
-        live.push_back(&shards[s]->engineStats());
-    }
+    for (const EngineStats &es : live_stats)
+        live.push_back(&es);
     std::vector<const RequestStats *> finals;
     for (size_t r = 0; r < reqs.size(); ++r)
         finals.push_back(&shards[owner[r]]->stats(ids[r]));

@@ -39,7 +39,7 @@ serveRow(const Transformer &model, const char *fmt, size_t batch)
         ids.push_back(engine.submit(std::move(req)));
     }
     engine.runToCompletion();
-    const EngineStats &es = engine.engineStats();
+    const EngineStats es = engine.engineStats();
     double ttft_worst = 0.0;
     for (size_t id : ids)
         ttft_worst = std::max(ttft_worst, engine.stats(id).ttft_ms);
@@ -187,7 +187,7 @@ main()
             ids.push_back(engine.submit(std::move(req)));
         }
         engine.runToCompletion();
-        const EngineStats &es = engine.engineStats();
+        const EngineStats es = engine.engineStats();
         double ttft_worst = 0.0;
         for (size_t id : ids)
             ttft_worst =
@@ -229,7 +229,7 @@ main()
             engine.submit(std::move(req));
         }
         engine.runToCompletion();
-        const EngineStats &es = engine.engineStats();
+        const EngineStats es = engine.engineStats();
         std::printf("%-14s %10.1f %10.2f %9zu %9.1fms %13zu\n",
                     factor > 1.0 ? "over-admit" : "reject-only",
                     es.throughput_tokens_per_s, es.mean_batch_occupancy,

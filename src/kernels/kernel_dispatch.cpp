@@ -189,31 +189,12 @@ void
 KernelDispatch::matvec(KernelBackend backend, const Matrix &w,
                        const float *x, float *y)
 {
-    matvecBatch(backend, w, x, w.cols(), y, w.rows(), 1);
-}
-
-void
-KernelDispatch::matvecBatch(const Matrix &w, const float *x, size_t ldx,
-                            float *y, size_t ldy, size_t batch)
-{
-    matvecBatch(active(), w, x, ldx, y, ldy, batch);
-}
-
-void
-KernelDispatch::matvecBatch(KernelBackend backend, const Matrix &w,
-                            const float *x, size_t ldx, float *y,
-                            size_t ldy, size_t batch)
-{
     const size_t n = w.rows();
     const size_t k = w.cols();
     if (backend == KernelBackend::Reference) {
-        // Row-at-a-time through the scalar kernel: the same per-row chain
-        // as a contiguous gemmNT, stride-agnostic.
-        for (size_t r = 0; r < batch; ++r)
-            kernels::gemmNTReference(x + r * ldx, w.data(), y + r * ldy, 1,
-                                     n, k);
+        kernels::gemmNTReference(x, w.data(), y, 1, n, k);
     } else {
-        kernels::gemmTiled(x, ldx, w.data(), k, y, ldy, batch, n, k,
+        kernels::gemmTiled(x, k, w.data(), k, y, n, 1, n, k,
                            /*b_transposed=*/true, simdMicroKernel());
     }
 }

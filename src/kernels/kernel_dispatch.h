@@ -135,27 +135,15 @@ class KernelDispatch
     // ----------------------------------------------------- decode matvec --
 
     /**
-     * y[N] = W[N x K] * x[K]: the serving decode path's single-token
-     * linear. Bit-identical to a 1-row gemmNT — and, by the
-     * shape-stability contract (kernels_internal.h), to any row of a
-     * larger gemmNT against the same W — without Matrix temporaries.
+     * y[N] = W[N x K] * x[K]: the single-token linear of the teacher-
+     * mode decode over float weights. Bit-identical to a 1-row gemmNT —
+     * and, by the shape-stability contract (kernels_internal.h), to any
+     * row of a larger gemmNT against the same W — without Matrix
+     * temporaries.
      */
     static void matvec(const Matrix &w, const float *x, float *y);
     static void matvec(KernelBackend backend, const Matrix &w,
                        const float *x, float *y);
-
-    /**
-     * Batched decode matvec: Y[B x N] = X[B x K] * W[N x K]^T with row
-     * strides @p ldx / @p ldy, so token rows gathered from different
-     * in-flight requests can feed one GEMM. Row b of Y is bit-identical
-     * to matvec(w, x + b * ldx, ...): batching is a throughput decision,
-     * never a numerics decision.
-     */
-    static void matvecBatch(const Matrix &w, const float *x, size_t ldx,
-                            float *y, size_t ldy, size_t batch);
-    static void matvecBatch(KernelBackend backend, const Matrix &w,
-                            const float *x, size_t ldx, float *y,
-                            size_t ldy, size_t batch);
 
     /**
      * y[N] = W_view * x[K] where W_view is N rows of length K with row

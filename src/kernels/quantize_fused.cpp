@@ -115,18 +115,19 @@ struct ElemGrid
 
 /**
  * Extract the bit code of an already-quantized scaled grid value (the
- * exact output of quantizeSpan with scale = 1). Field extraction on an
- * exact grid float reproduces Minifloat::encode / FixedPointCodec::
- * encodeRaw bit-for-bit: the mantissa's low 23-mbits bits are zero by
- * construction. @p sign is the ORIGINAL input's sign bit — encode uses
- * std::signbit(x) even for results that quantize to zero, while the grid
- * value normalizes exact-zero inputs to +0.0.
+ * exact output of quantizeSpan with scale = 1) of input @p x. Field
+ * extraction on an exact grid float reproduces MxQuantizer::encodeBlock
+ * bit-for-bit: the mantissa's low 23-mbits bits are zero by
+ * construction. The sign comes from the input: a nonzero input keeps
+ * it even where it quantizes to zero, and an exact zero of either sign
+ * takes the +0 code.
  */
 inline uint32_t
-encodeFromGrid(float qv, uint32_t sign, const ElemGrid &g)
+encodeFromGrid(float qv, float x, const ElemGrid &g)
 {
     const uint32_t b = floatBits(qv);
     if (g.is_float) {
+        const uint32_t sign = x == 0.0f ? 0u : floatBits(x) >> 31;
         const float aq = bitsFloat(b & 0x7FFFFFFFu);
         const uint32_t sign_shifted =
             sign << (g.ebits + g.mbits);
@@ -454,10 +455,11 @@ fusedEncodeBlock(const MxQuantizer &q, const ElemGrid &g, int emax,
     if (!analyzeBlock(q, emax, in, n, avx2_ok, &plan))
         return q.encodeBlock(in, n);
     if (plan.zero) {
-        // encodeBlock emits the reserved scale code for every zero block
-        // (in Standard mode amax == 0 is the only way to get here, and
-        // code 0 with all-zero element codes decodes to zeros there too).
+        // As encodeBlock: the reserved scale code and +0 element codes
+        // (in Standard mode amax == 0 is the only way to get here).
         block.scale_code = E8M0::kZeroBlock;
+        std::fill(block.codes.begin(), block.codes.begin() + n,
+                  q.zeroCode());
         return block;
     }
 
@@ -475,8 +477,7 @@ fusedEncodeBlock(const MxQuantizer &q, const ElemGrid &g, int emax,
     float grid_vals[kMxMaxBlockSize];
     quantizeSpan(in, grid_vals, n, p2f(-elem_exp), 1.0f, g, avx2_ok);
     for (int i = 0; i < n; ++i)
-        block.codes[i] =
-            encodeFromGrid(grid_vals[i], floatBits(in[i]) >> 31, g);
+        block.codes[i] = encodeFromGrid(grid_vals[i], in[i], g);
     if (!standard) {
         block.codes[plan.bm] = bmCodec(q.format()).encode(
             static_cast<double>(in[plan.bm]) / scale);

@@ -91,6 +91,29 @@ MxQuantizer::quantizeBm(double scaled) const
     return bmCodec(format_).quantize(scaled);
 }
 
+uint32_t
+MxQuantizer::zeroCode() const
+{
+    return is_float_ ? 0u : 1u << (elementFixedPoint(format_).bits() - 1);
+}
+
+uint32_t
+MxQuantizer::encodeElement(double scaled) const
+{
+    // An exact zero of either sign takes the +0 code, as fake
+    // quantization gives +0.0 for it (Minifloat::encode would keep the
+    // sign of -0.0). scaled is 0 only for a zero input: dividing a
+    // float by an E8M0 scale cannot underflow a double.
+    if (scaled == 0.0)
+        return zeroCode();
+    if (is_float_)
+        return elementMinifloat(format_).encode(scaled);
+    // Two's-complement codes offset into unsigned space.
+    const auto &codec = elementFixedPoint(format_);
+    return static_cast<uint32_t>(codec.encodeRaw(scaled) +
+                                 (1 << (codec.bits() - 1)));
+}
+
 void
 MxQuantizer::fakeQuantizeBlock(const float *in, float *out, int n) const
 {
@@ -177,7 +200,10 @@ MxQuantizer::encodeBlock(const float *in, int n) const
     const double amax = std::fabs(static_cast<double>(in[bm]));
 
     if (amax == 0.0 || isZeroBlock(in, n)) {
+        // Every element takes the +0 code too: in MX mode the reserved
+        // scale code is an ordinary scale, decoded through the elements.
         block.scale_code = E8M0::kZeroBlock;
+        std::fill(block.codes.begin(), block.codes.begin() + n, zeroCode());
         return block;
     }
 
@@ -186,17 +212,8 @@ MxQuantizer::encodeBlock(const float *in, int n) const
     const double scale = pow2d(shared_exp);
 
     if (mode_ == MxMode::Standard) {
-        for (int i = 0; i < n; ++i) {
-            const double scaled = static_cast<double>(in[i]) / scale;
-            if (is_float_) {
-                block.codes[i] = elementMinifloat(format_).encode(scaled);
-            } else {
-                // Store two's-complement codes offset into unsigned space.
-                block.codes[i] = static_cast<uint32_t>(
-                    elementFixedPoint(format_).encodeRaw(scaled) +
-                    (1 << (elementFixedPoint(format_).bits() - 1)));
-            }
-        }
+        for (int i = 0; i < n; ++i)
+            block.codes[i] = encodeElement(static_cast<double>(in[i]) / scale);
         return block;
     }
 
@@ -223,14 +240,8 @@ MxQuantizer::encodeBlock(const float *in, int n) const
             const double scaled = static_cast<double>(in[i]) / scale;
             block.codes[i] = bmCodec(format_).encode(scaled);
         } else {
-            const double scaled = static_cast<double>(in[i]) / nbm_scale;
-            if (is_float_) {
-                block.codes[i] = elementMinifloat(format_).encode(scaled);
-            } else {
-                block.codes[i] = static_cast<uint32_t>(
-                    elementFixedPoint(format_).encodeRaw(scaled) +
-                    (1 << (elementFixedPoint(format_).bits() - 1)));
-            }
+            block.codes[i] =
+                encodeElement(static_cast<double>(in[i]) / nbm_scale);
         }
     }
     return block;

@@ -72,7 +72,8 @@ struct MxBlock
  *    by the model-quality experiments;
  *  - encodeBlock/decodeBlock: bit-exact packed encodings used by the format
  *    explorer, the GPU dot-product-engine simulator and the tests.
- * Both styles produce identical values (tested property).
+ * Both styles produce bit-identical values, signed zeros included
+ * (tested property).
  */
 class MxQuantizer
 {
@@ -116,6 +117,9 @@ class MxQuantizer
     int blockSize() const { return block_size_; }
     /** e_max of the element data type (0 for integer elements). */
     int emax() const { return emax_; }
+    /** The element code of +0 (MXINT codes are offset into unsigned
+        space, so their code 0 is the most negative integer). */
+    uint32_t zeroCode() const;
     /** Average storage bits per element including scale and metadata. */
     double avgBitsPerElement() const;
     /** e.g. "MXFP4+", "MXFP6", "MXINT8+". */
@@ -124,6 +128,7 @@ class MxQuantizer
   private:
     double quantizeElement(double scaled) const;
     double quantizeBm(double scaled) const;
+    uint32_t encodeElement(double scaled) const;
 
     ElementFormat format_;
     MxMode mode_;

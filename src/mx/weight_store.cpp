@@ -47,36 +47,28 @@ MxPanelWeight::MxPanelWeight(const MxQuantizer &q, const Matrix &w)
     scales_.assign(strips * depth_blocks_ * kNR, 0);
     if (plus)
         metas_.assign(scales_.size(), 0);
-    // The +0 element code: MXINT codes are offset into unsigned space.
-    const uint32_t zero_code = elementFormatInfo(q.format()).is_float
-        ? 0u
-        : 1u << (code_bits_ - 1);
 
+    // Lanes past N encode a zero row: zero blocks, which decode to the
+    // panel's zero padding.
+    const std::vector<float> zero_row(cols_, 0.0f);
     std::vector<MxBlock> blocks(depth_blocks_);
     for (size_t n = 0; n < strips * kNR; ++n) {
         const size_t s = n / kNR;
         const size_t lane = n % kNR;
-        const bool pad = n >= rows_;
-        if (!pad)
-            kernels::fusedEncodeRow(q, w.row(n), cols_, blocks.data());
+        kernels::fusedEncodeRow(q, n < rows_ ? w.row(n) : zero_row.data(),
+                                cols_, blocks.data());
         uint8_t *codes = codes_.data() + s * cols_ * row_bytes_;
         const size_t meta0 = s * depth_blocks_ * kNR + lane;
         for (size_t b = 0; b < depth_blocks_; ++b) {
             const MxBlock &blk = blocks[b];
-            const bool zero = pad ||
-                (plus && blk.scale_code == E8M0::kZeroBlock);
-            scales_[meta0 + b * kNR] = zero ? E8M0::kZeroBlock
-                                            : blk.scale_code;
-            if (plus && !zero) {
+            scales_[meta0 + b * kNR] = blk.scale_code;
+            if (plus) {
                 metas_[meta0 + b * kNR] = static_cast<uint8_t>(
                     blk.bm_index | blk.nbm_delta << 5);
             }
-            const float *in = pad ? nullptr : w.row(n) + b * bs;
             for (size_t i = 0; i < bs; ++i) {
-                const uint32_t code =
-                    zero || in[i] == 0.0f ? zero_code : blk.codes[i];
                 putCode(codes + (b * bs + i) * row_bytes_, lane,
-                        code_bits_, code);
+                        code_bits_, blk.codes[i]);
             }
         }
     }

@@ -17,13 +17,10 @@
  * streaming decode of kc depth rows per strip (see kernel_dispatch.h),
  * with no transpose and no float copy of the weight.
  *
- * The encoding is normalized so that a decode is bit-identical to
- * TensorQuantizer::quantized() of the float weight: an exactly-zero input
- * element stores the +0 code (Minifloat::encode keeps the sign of -0.0,
- * fake quantization returns +0.0), and a zero block stores +0 codes
- * (MXINT code 0 is the most negative value, not zero). Lanes past N in
- * the last strip hold zero blocks, so they decode to the panel's zero
- * padding.
+ * The blocks are MxQuantizer::encodeBlock's, so a decode is
+ * bit-identical to TensorQuantizer::quantized() of the float weight.
+ * Lanes past N in the last strip hold zero blocks, so they decode to the
+ * panel's zero padding.
  *
  * Only block sizes that divide both K and the panel depth kKC are stored
  * (fits()): a block then never straddles a panel.

@@ -411,44 +411,6 @@ KvCache::valuePageData(size_t layer, size_t page) const
 }
 
 void
-KvCache::headKeys(size_t layer, size_t head, Matrix &out) const
-{
-    MXPLUS_CHECK(!isTeacher());
-    MXPLUS_CHECK(layer < n_layers_ && head < heads_);
-    const size_t len = appended_[layer];
-    const size_t c0 = head * dh_;
-    out = Matrix(len, dh_);
-    for (size_t p = 0, pos = 0; pos < len; ++p, pos += pt_) {
-        const size_t n = std::min(pt_, len - pos);
-        const float *kpage =
-            regionView(layer, p, KvPagePool::PageRegion::kKey);
-        for (size_t r = 0; r < n; ++r) {
-            const float *kq = kpage + r * d_;
-            std::copy(kq + c0, kq + c0 + dh_, out.row(pos + r));
-        }
-    }
-}
-
-void
-KvCache::headValuesT(size_t layer, size_t head, Matrix &out) const
-{
-    MXPLUS_CHECK(!isTeacher());
-    MXPLUS_CHECK(layer < n_layers_ && head < heads_);
-    const size_t len = appended_[layer];
-    const size_t c0 = head * dh_;
-    out = Matrix(dh_, len);
-    for (size_t p = 0, pos = 0; pos < len; ++p, pos += pt_) {
-        const size_t n = std::min(pt_, len - pos);
-        const float *vq =
-            regionView(layer, p, KvPagePool::PageRegion::kValue);
-        for (size_t c = 0; c < dh_; ++c) {
-            std::copy(vq + (c0 + c) * pt_, vq + (c0 + c) * pt_ + n,
-                      out.row(c) + pos);
-        }
-    }
-}
-
-void
 KvCache::gatherKeys(size_t layer, Matrix &out) const
 {
     MXPLUS_CHECK(!isTeacher());

@@ -249,15 +249,6 @@ class KvCache
     const float *valuePageData(size_t layer, size_t page) const;
     size_t valuePageRowStride() const { return pt_; }
 
-    /** Copy quantized keys of one head into @p out as [len x head_dim]. */
-    void headKeys(size_t layer, size_t head, Matrix &out) const;
-
-    /**
-     * Copy quantized values of one head into @p out as [head_dim x len]
-     * (sequence-major, the P·V right-hand operand).
-     */
-    void headValuesT(size_t layer, size_t head, Matrix &out) const;
-
     /**
      * Copy the whole layer's quantized keys into @p out as
      * [len x d_model]. The prefill attention gathers once per layer and
@@ -268,8 +259,8 @@ class KvCache
 
     /**
      * Copy the whole layer's quantized values into @p out as
-     * [d_model x len] (sequence-major); per-layer counterpart of
-     * headValuesT, same single-decode rationale as gatherKeys.
+     * [d_model x len] (sequence-major, the P·V right-hand operand
+     * sliced per head); same single-decode rationale as gatherKeys.
      */
     void gatherValuesT(size_t layer, Matrix &out) const;
 

@@ -61,23 +61,6 @@ PrefixIndex::findChild(Node *parent, const int *page_tokens)
 }
 
 PrefixIndex::Node *
-PrefixIndex::match(const int *tokens, size_t n_tokens, size_t max_pages,
-                   size_t *matched_pages)
-{
-    Node *node = nullptr;
-    size_t depth = 0;
-    while (depth < max_pages && (depth + 1) * pt_ <= n_tokens) {
-        Node *child = findChild(node, tokens + depth * pt_);
-        if (child == nullptr)
-            break;
-        node = child;
-        ++depth;
-    }
-    *matched_pages = depth;
-    return node;
-}
-
-PrefixIndex::Node *
 PrefixIndex::insert(Node *parent, const int *page_tokens,
                     const uint32_t *page_ids)
 {
@@ -191,7 +174,7 @@ PrefixIndex::verify(Node *node)
         if (pageChecksum(node->pages[l]) == node->sums[l])
             continue;
         // Quarantine, permanently: the node becomes invisible to
-        // findChild()/match() and drains via normal LRU eviction.
+        // findChild() and drains via normal LRU eviction.
         // Pages stay owned until then — releasing early could hand a
         // known-bad slab back to the free list while a racing audit
         // still walks the tree.

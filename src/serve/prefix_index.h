@@ -61,7 +61,7 @@ class PrefixIndex
         uint64_t last_use = 0; ///< LRU stamp
         size_t pins = 0;       ///< requests depending on this node
         /** Quarantined: a checksum verification failed. The node is
-            invisible to findChild()/match() from then on — its state
+            invisible to findChild() from then on — its state
             can never be served — and it drains via normal eviction. */
         bool corrupt = false;
         /** Debug bookkeeping: the chaos harness flipped a bit here. */
@@ -103,15 +103,6 @@ class PrefixIndex
     size_t evictedNodes() const { return evicted_nodes_; }
 
     /**
-     * Deepest cached node whose root-path token run is a prefix of
-     * @p tokens, matching at most @p max_pages whole pages. Stamps the
-     * matched path for LRU. Returns nullptr on no match.
-     * @param matched_pages out: pages matched (0 when nullptr)
-     */
-    Node *match(const int *tokens, size_t n_tokens, size_t max_pages,
-                size_t *matched_pages);
-
-    /**
      * Child of @p parent (nullptr = root) covering exactly the next
      * pageTokens() ids at @p page_tokens; stamps it for LRU.
      */
@@ -138,7 +129,7 @@ class PrefixIndex
     /**
      * Recompute @p node's per-layer page checksums against the sums
      * stored at insertion. A mismatch quarantines the node (sets
-     * Node::corrupt, so findChild()/match() skip it forever) and
+     * Node::corrupt, so findChild() skips it forever) and
      * returns false — the caller computes privately, which is always
      * bit-exact. The engine calls this on every adoption when
      * EngineOptions::checksum_pages is on.

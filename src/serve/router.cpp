@@ -427,7 +427,7 @@ ShardedFrontEnd::shardEngine(size_t shard) const
     return *shards_[shard]->engine;
 }
 
-const EngineStats &
+EngineStats
 ShardedFrontEnd::shardStats(size_t shard) const
 {
     return shardEngine(shard).engineStats();
@@ -616,7 +616,7 @@ ShardedFrontEnd::refuseTicket(const std::shared_ptr<Stream> &s)
         MXPLUS_CHECK(unfinished_ > 0);
         --unfinished_;
         // The ticket never reached an engine; if it was the last one
-        // out and every shard already finalized, merge from here.
+        // out and every shard is already clean, merge from here.
         maybeMergeLocked();
     }
     done_cv_.notify_all();
@@ -755,15 +755,18 @@ ShardedFrontEnd::maybeMergeLocked()
     for (uint8_t c : stats_clean_)
         if (c == 0)
             return;
-    // Fleet idle and every shard finalized: safe to read all
-    // (non-failed) engines from this thread — their owners are asleep,
-    // and a new submit must take done_mu_ first. A crash-failed
-    // shard's aggregates died with it (docs/ROBUSTNESS.md); its
-    // tickets' outcomes survive in their final stats.
-    std::vector<const EngineStats *> shard_stats;
+    // Fleet idle and every shard clean: safe to read all (non-failed)
+    // engines from this thread — their owners are asleep, and a new
+    // submit must take done_mu_ first. A crash-failed shard's
+    // aggregates died with it (docs/ROBUSTNESS.md); its tickets'
+    // outcomes survive in their final stats.
+    std::vector<EngineStats> copies;
     for (const auto &sh : shards_)
         if (!sh->failed.load(std::memory_order_acquire))
-            shard_stats.push_back(&sh->engine->engineStats());
+            copies.push_back(sh->engine->engineStats());
+    std::vector<const EngineStats *> shard_stats;
+    for (const EngineStats &es : copies)
+        shard_stats.push_back(&es);
     std::vector<const RequestStats *> finals;
     {
         std::lock_guard<std::mutex> lk(registry_mu_);
@@ -882,7 +885,6 @@ ShardedFrontEnd::shardLoop(size_t shard)
     // Commands this thread consumed; the ring's tail only moves here,
     // so the idle-wait predicate (enqueued > processed) is exact.
     uint64_t processed = 0;
-    bool finalized = true; // a fresh engine has nothing to finalize
     for (;;) {
         if (sh.abandoned.load(std::memory_order_acquire)) {
             // Failover took our tickets while we were still running (a
@@ -910,9 +912,8 @@ ShardedFrontEnd::shardLoop(size_t shard)
             for (const LiveTicket &entry : sh.live)
                 sh.engine->cancel(entry.engine_id);
             sh.live.clear();
-            // Settle the cancels and finalize this shard's aggregates —
-            // the merged fleet view still includes a retired shard's
-            // work.
+            // Settle the cancels: the merged fleet view still includes
+            // a retired shard's work.
             sh.engine->runToCompletion();
             return;
         }
@@ -920,7 +921,6 @@ ShardedFrontEnd::shardLoop(size_t shard)
         const size_t drained = drainShardRing(sh);
         processed += drained;
         if (drained > 0) {
-            finalized = false;
             sh.heartbeat.progress(
                 sh.outstanding.load(std::memory_order_relaxed));
             std::lock_guard<std::mutex> lk(done_mu_);
@@ -937,13 +937,7 @@ ShardedFrontEnd::shardLoop(size_t shard)
         }
 
         publishShard(sh); // flush terminals from shed/reject-at-submit
-        if (!finalized) {
-            // runToCompletion() on the now-empty engine just finalizes
-            // this shard's aggregates over its busy window.
-            sh.engine->runToCompletion();
-            finalized = true;
-            markCleanAndMaybeReady(shard);
-        }
+        markCleanAndMaybeReady(shard); // idle: the engine holds still
 
         sh.heartbeat.beat(0); // idle liveness (the detector exempts it)
         std::unique_lock<std::mutex> lk(sh.wake_mu);
@@ -981,7 +975,7 @@ ShardedFrontEnd::retireShard(size_t shard)
     while (sh.inflight_routes.load(std::memory_order_acquire) != 0)
         std::this_thread::yield();
 
-    // Let the thread publish what finished and finalize its engine,
+    // Let the thread publish what finished and settle its engine,
     // then re-own the rest — ring leftovers, queued admissions and
     // half-generated slots alike — exactly as failover does. A retired
     // shard keeps its aggregates in the merge and does not count as a
@@ -999,7 +993,7 @@ ShardedFrontEnd::retireShard(size_t shard)
     }
     if (crashed) {
         // A wedge or death site fired here (charged to the doom cap
-        // then): the thread left without finalizing its engine, so this
+        // then): the thread left without settling its engine, so this
         // retirement is a failover, accounted exactly as failShard's.
         if (health_ != nullptr)
             health_->markDead(shard);
@@ -1209,36 +1203,12 @@ mergeFleetStats(const std::vector<const EngineStats *> &shards,
     // Outcome counters and goodput are per TICKET (client truth): a
     // re-routed or failed-over request counts once, by its final
     // outcome — never as the dying shard's engine-level cancel.
-    std::vector<double> queue_waits;
-    size_t completed = 0;
-    for (const RequestStats *rs : finals) {
-        f.total_generated += rs->generated.size();
-        queue_waits.push_back(rs->queue_wait_ms);
-        switch (rs->outcome) {
-        case RequestOutcome::kCompleted:
-            ++completed;
-            break;
-        case RequestOutcome::kRejected:
-            ++f.rejected_requests;
-            break;
-        case RequestOutcome::kShed:
-            ++f.shed_requests;
-            break;
-        case RequestOutcome::kTimedOut:
-            ++f.timed_out_requests;
-            break;
-        case RequestOutcome::kCancelled:
-            ++f.cancelled_requests;
-            break;
-        default:
-            break;
-        }
-    }
-    f.goodput_ok_fraction = finals.empty()
-        ? 0.0
-        : static_cast<double>(completed) / static_cast<double>(finals.size());
+    tallyRequests(finals, f);
     // Merged p50/p99 from the per-ticket queue-wait digests, with the
     // same nearest-rank percentile the engines use.
+    std::vector<double> queue_waits;
+    for (const RequestStats *rs : finals)
+        queue_waits.push_back(rs->queue_wait_ms);
     f.queue_wait_ms_p50 = latencyPercentile(queue_waits, 0.50);
     f.queue_wait_ms_p99 = latencyPercentile(queue_waits, 0.99);
     return f;

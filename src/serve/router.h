@@ -67,8 +67,9 @@
  * moved and drops its copy without publishing, so exactly-once
  * delivery never depends on the dead thread actually being dead.
  * retireShard() is the graceful path: the shard's thread publishes what
- * finished, cancels the rest unpublished and finalizes its engine
- * aggregates (kept in the fleet merge) before it exits. failShard() is
+ * finished, cancels the rest unpublished and settles those cancels on
+ * its engine (whose aggregates stay in the fleet merge) before it
+ * exits. failShard() is
  * the crash path: the failed shard's ENGINE aggregates are abandoned
  * with it, though per-ticket outcomes stay complete. Both then re-own
  * the shard's unfinished tickets through one registry pass
@@ -247,11 +248,12 @@ size_t affinityShard(const std::vector<int> &prompt, size_t page_tokens,
 /**
  * The fleet merge rule, a pure function for the same reason as
  * affinityShard: mechanism counters and peaks sum over @p shards (the
- * non-failed shards' finalized stats), wall time is the max, batch
+ * non-failed shards' engine stats), wall time is the max, batch
  * occupancy is weighted by decode batches and the compression ratio is
  * the mean over shards; outcome counters, total_generated, goodput and
  * queue-wait p50/p99 are recomputed from @p finals, one terminal
- * RequestStats per ticket, so a re-routed request counts once.
+ * RequestStats per ticket (tallyRequests), so a re-routed request
+ * counts once.
  */
 EngineStats mergeFleetStats(const std::vector<const EngineStats *> &shards,
                             const std::vector<const RequestStats *> &finals);
@@ -295,12 +297,12 @@ class ShardedFrontEnd
      * Drain-and-re-route (the GRACEFUL path): seal shard @p shard
      * against new routes; its thread publishes everything already
      * finished, cancels the rest on its engine WITHOUT publishing those
-     * terminals, finalizes the shard's stats and exits; then every
+     * terminals, settles the cancels and exits; then every
      * unfinished ticket it owned is re-owned by a live shard (restart —
      * bit-exact, see file header) through the same registry pass
      * failShard() uses. Blocks until the shard is fully
      * retired. A shard a crash fault site fired on (wedged or dead)
-     * cannot finalize, so its retirement is accounted as failShard()'s
+     * cannot settle, so its retirement is accounted as failShard()'s
      * is: failed, aggregates out of the merge, re-routes counted as
      * failover. Returns false (and does nothing) when @p shard is
      * unknown, already retired/failed, or the last live shard. A
@@ -360,7 +362,7 @@ class ShardedFrontEnd
         — a crash-failed shard's engine is abandoned mid-flight. */
     const ServingEngine &shardEngine(size_t shard) const;
     /** Shorthand for shardEngine(shard).engineStats(). */
-    const EngineStats &shardStats(size_t shard) const;
+    EngineStats shardStats(size_t shard) const;
     /** Cross-layer audit of every (idle) shard engine, crash-failed
         shards excluded. Post-drain. */
     bool auditInvariants() const;
@@ -516,8 +518,9 @@ class ShardedFrontEnd
         crash-failed), idempotently; false = the doom cap is reached
         and dooming this shard would leave no intact shard. */
     bool reserveDoomLocked(size_t shard);
-    /** Under done_mu_: mark shard @p shard's aggregates finalized and
-        merge if the fleet is idle and clean. */
+    /** Under done_mu_: mark shard @p shard clean (its engine holds
+        still until it drains another command) and merge if the fleet
+        is idle and clean. */
     void markCleanAndMaybeReady(size_t shard);
     /** Caller holds done_mu_: when the fleet is idle and every shard
         clean, gather the non-failed shards' engine stats and the done
@@ -566,8 +569,9 @@ class ShardedFrontEnd
     std::mutex retire_mu_;
 
     // Fleet drain/stats channel. stats_clean[i] — guarded by done_mu_ —
-    // says shard i's engine aggregates are finalized; fleet_stats_ is
-    // (re)merged when unfinished_ hits 0 with every shard clean.
+    // says shard i's engine is idle and safe to read from another
+    // thread; fleet_stats_ is (re)merged when unfinished_ hits 0 with
+    // every shard clean.
     mutable std::mutex done_mu_;
     std::condition_variable done_cv_;
     size_t unfinished_ = 0;

@@ -55,6 +55,42 @@ latencyPercentile(std::vector<double> samples, double p)
     return samples[idx];
 }
 
+void
+tallyRequests(const std::vector<const RequestStats *> &requests,
+              EngineStats &es)
+{
+    es.total_generated = 0;
+    es.rejected_requests = es.shed_requests = 0;
+    es.timed_out_requests = es.cancelled_requests = 0;
+    size_t completed = 0;
+    for (const RequestStats *rs : requests) {
+        es.total_generated += rs->generated.size();
+        switch (rs->outcome) {
+        case RequestOutcome::kCompleted:
+            ++completed;
+            break;
+        case RequestOutcome::kRejected:
+            ++es.rejected_requests;
+            break;
+        case RequestOutcome::kShed:
+            ++es.shed_requests;
+            break;
+        case RequestOutcome::kTimedOut:
+            ++es.timed_out_requests;
+            break;
+        case RequestOutcome::kCancelled:
+            ++es.cancelled_requests;
+            break;
+        case RequestOutcome::kPending:
+            break;
+        }
+    }
+    es.goodput_ok_fraction = requests.empty()
+        ? 0.0
+        : static_cast<double>(completed) /
+            static_cast<double>(requests.size());
+}
+
 std::string
 EngineOptions::validate(const QuantConfig &qc) const
 {
@@ -245,31 +281,6 @@ ServingEngine::markTerminal(size_t id, RequestOutcome outcome)
                      "ServingEngine: double terminal state");
     rs.finished = true;
     rs.outcome = outcome;
-    switch (outcome) {
-    case RequestOutcome::kRejected:
-        engine_stats_.rejected_requests += 1;
-        break;
-    case RequestOutcome::kShed:
-        engine_stats_.shed_requests += 1;
-        break;
-    case RequestOutcome::kTimedOut:
-        engine_stats_.timed_out_requests += 1;
-        break;
-    case RequestOutcome::kCancelled:
-        engine_stats_.cancelled_requests += 1;
-        break;
-    default:
-        break;
-    }
-    // Keep goodput current even when the engine is driven by a
-    // manual step() loop that never reaches finalizeRun().
-    size_t completed = 0;
-    for (const RequestStats &st : stats_) {
-        if (st.outcome == RequestOutcome::kCompleted)
-            ++completed;
-    }
-    engine_stats_.goodput_ok_fraction = static_cast<double>(completed) /
-        static_cast<double>(stats_.size());
 }
 
 size_t
@@ -425,7 +436,7 @@ ServingEngine::verifiedChild(PrefixIndex::Node *parent,
         // verify() quarantined the span: it is invisible from now on,
         // and this reader computes the page privately — bit-exactness
         // never depended on adoption, only throughput did.
-        engine_stats_.checksum_failures += 1;
+        counters_.checksum_failures += 1;
         return nullptr;
     }
     return child;
@@ -489,7 +500,7 @@ ServingEngine::adoptShared(Slot &slot)
         slot.path_node = child;
         slot.path_depth += 1;
         slot.prefill_pos += pt;
-        engine_stats_.prefix_hit_tokens += pt;
+        counters_.prefix_hit_tokens += pt;
         stats_[slot.id].shared_prompt_tokens += pt;
         adopted = true;
     }
@@ -497,7 +508,7 @@ ServingEngine::adoptShared(Slot &slot)
         movePin(slot, slot.path_node);
         if (!prefix_hit_counted_[slot.id]) {
             prefix_hit_counted_[slot.id] = 1;
-            engine_stats_.prefix_hit_requests += 1;
+            counters_.prefix_hit_requests += 1;
         }
     }
     return adopted;
@@ -530,7 +541,7 @@ ServingEngine::registerFrozenPages(Slot &slot)
             // reservation to the cached span (which holds its own pool
             // references and is counted by admission as span pages).
             creditReservation(slot);
-            engine_stats_.prefix_inserted_tokens += pt;
+            counters_.prefix_inserted_tokens += pt;
             if (codec_ != nullptr) {
                 // Compress on publish: the page is frozen (no writer
                 // will ever touch it), insert() already snapshotted
@@ -588,8 +599,8 @@ ServingEngine::preemptSlot(size_t slot_index)
     // at re-admission — unless budget pressure evicts it first.
     const size_t covered =
         std::min(slot.cache.length(), slot.path_depth * pt);
-    engine_stats_.preemptions += 1;
-    engine_stats_.preempted_recompute_tokens +=
+    counters_.preemptions += 1;
+    counters_.preempted_recompute_tokens +=
         slot.cache.length() - covered;
     rs.preemptions += 1;
 
@@ -679,20 +690,12 @@ ServingEngine::lifecyclePass()
 
     // Queued requests first: a queued death frees no pages but does
     // free queue positions and ledger headroom before admission runs.
+    // Only a queued request can be shed for its queue wait.
     for (const Scheduler::QueuedInfo &q : scheduler_->queuedSnapshot()) {
-        RequestOutcome out = RequestOutcome::kPending;
-        const double age = now - submit_ms_[q.id];
-        const double dl = effectiveDeadlineMs(q.id);
-        const double tdl = effectiveTtftDeadlineMs(q.id);
-        if (cancel_requested_[q.id]) {
-            out = RequestOutcome::kCancelled;
-        } else if (dl > 0.0 && age > dl) {
-            out = RequestOutcome::kTimedOut;
-        } else if (tdl > 0.0 && stats_[q.id].ttft_ms == 0.0 &&
-                   age > tdl) {
-            out = RequestOutcome::kTimedOut;
-        } else if (opts_.max_queue_wait_ms > 0.0 &&
-                   now - q.enqueue_ms > opts_.max_queue_wait_ms) {
+        RequestOutcome out = lifecycleVerdict(q.id, now);
+        if (out == RequestOutcome::kPending &&
+            opts_.max_queue_wait_ms > 0.0 &&
+            now - q.enqueue_ms > opts_.max_queue_wait_ms) {
             out = RequestOutcome::kShed;
         }
         if (out == RequestOutcome::kPending)
@@ -703,24 +706,27 @@ ServingEngine::lifecyclePass()
 
     // Active slots, backwards: terminateSlot erases by index.
     for (size_t i = active_.size(); i-- > 0;) {
-        const Slot &slot = *active_[i];
-        const RequestStats &rs = stats_[slot.id];
-        RequestOutcome out = RequestOutcome::kPending;
-        const double age = now - submit_ms_[slot.id];
-        const double dl = effectiveDeadlineMs(slot.id);
-        const double tdl = effectiveTtftDeadlineMs(slot.id);
-        if (cancel_requested_[slot.id]) {
-            out = RequestOutcome::kCancelled;
-        } else if (dl > 0.0 && age > dl) {
-            out = RequestOutcome::kTimedOut;
-        } else if (tdl > 0.0 && rs.ttft_ms == 0.0 && age > tdl) {
-            // A preempted-and-readmitted request keeps its first TTFT
-            // stamp, so a restart can never re-arm the TTFT deadline.
-            out = RequestOutcome::kTimedOut;
-        }
+        const RequestOutcome out = lifecycleVerdict(active_[i]->id, now);
         if (out != RequestOutcome::kPending)
             terminateSlot(i, out);
     }
+}
+
+RequestOutcome
+ServingEngine::lifecycleVerdict(size_t id, double now) const
+{
+    const double age = now - submit_ms_[id];
+    const double dl = effectiveDeadlineMs(id);
+    const double tdl = effectiveTtftDeadlineMs(id);
+    if (cancel_requested_[id])
+        return RequestOutcome::kCancelled;
+    if (dl > 0.0 && age > dl)
+        return RequestOutcome::kTimedOut;
+    // A preempted-and-readmitted request keeps its first TTFT stamp,
+    // so a restart can never re-arm the TTFT deadline.
+    if (tdl > 0.0 && stats_[id].ttft_ms == 0.0 && age > tdl)
+        return RequestOutcome::kTimedOut;
+    return RequestOutcome::kPending;
 }
 
 bool
@@ -813,7 +819,7 @@ ServingEngine::prefillQuantum(Slot &slot)
         prompt.begin() + static_cast<long>(slot.prefill_pos + chunk));
     const Matrix logits = model_.prefill(piece, slot.cache, qc_);
     slot.prefill_pos += chunk;
-    engine_stats_.prefill_chunks += 1;
+    counters_.prefill_chunks += 1;
     if (prefix_ != nullptr)
         registerFrozenPages(slot);
 
@@ -835,44 +841,33 @@ void
 ServingEngine::retireFinished()
 {
     for (size_t i = active_.size(); i-- > 0;) {
-        Slot &slot = *active_[i];
+        const Slot &slot = *active_[i];
         if (slot.prefilling)
             continue;
-        RequestStats &rs = stats_[slot.id];
         const bool count_done =
-            rs.generated.size() >= slot.req.max_new_tokens;
+            stats_[slot.id].generated.size() >= slot.req.max_new_tokens;
         const bool seq_full =
             slot.cache.length() >= model_.config().max_seq;
-        if (count_done || seq_full) {
-            markTerminal(slot.id, RequestOutcome::kCompleted);
-            finalize(rs);
-            scheduler_->release(slot.reserved_pages);
-            if (slot.pinned != nullptr)
-                prefix_->unpin(slot.pinned);
-            // Destroying the slot's cache drops one reference per
-            // mapped page; pages the prefix index retains stay for the
-            // next request with this prompt prefix.
-            active_.erase(active_.begin() + static_cast<long>(i));
-        }
+        if (count_done || seq_full)
+            terminateSlot(i, RequestOutcome::kCompleted);
     }
 }
 
 void
 ServingEngine::samplePoolPeak()
 {
-    engine_stats_.kv_bytes_peak =
-        std::max(engine_stats_.kv_bytes_peak, pool_->usedBytes());
-    engine_stats_.kv_bytes_reserved_peak =
-        std::max(engine_stats_.kv_bytes_reserved_peak,
+    counters_.kv_bytes_peak =
+        std::max(counters_.kv_bytes_peak, pool_->usedBytes());
+    counters_.kv_bytes_reserved_peak =
+        std::max(counters_.kv_bytes_reserved_peak,
                  pool_->reservedBytes());
-    engine_stats_.kv_pages_peak =
-        std::max(engine_stats_.kv_pages_peak, pool_->usedPages());
+    counters_.kv_pages_peak =
+        std::max(counters_.kv_pages_peak, pool_->usedPages());
 }
 
 void
 ServingEngine::finalize(RequestStats &rs) const
 {
-    rs.finished = true;
     rs.p50_ms = latencyPercentile(rs.token_ms, 0.50);
     rs.p99_ms = latencyPercentile(rs.token_ms, 0.99);
     double sum = 0.0;
@@ -900,8 +895,6 @@ ServingEngine::clearPrefixCache()
                      "clearPrefixCache with active requests");
     // No active requests means no pins, so the clear is always total.
     MXPLUS_CHECK(prefix_->clear());
-    engine_stats_.prefix_evicted_pages =
-        prefix_->evictedNodes() * model_.config().n_layers;
 }
 
 bool
@@ -994,13 +987,13 @@ ServingEngine::step()
             }
         }
         if (scheduler_->candidateBypassesFifo())
-            engine_stats_.sjf_reorders += 1;
+            counters_.sjf_reorders += 1;
         admitCandidate(node, matched, need);
         if (!first_defer_seen_)
-            engine_stats_.admitted_before_first_defer += 1;
+            counters_.admitted_before_first_defer += 1;
     }
     if (budget_deferred) {
-        engine_stats_.admission_deferred_steps += 1;
+        counters_.admission_deferred_steps += 1;
         first_defer_seen_ = true;
     }
 
@@ -1050,14 +1043,6 @@ ServingEngine::step()
     // can fill the sequence: retire before (and after) decoding.
     retireFinished();
 
-    // Evictions happen on several paths (admission headroom, capacity
-    // pressure inside span publication, preemption headroom); the
-    // index's counter is the single source of truth.
-    if (prefix_ != nullptr) {
-        engine_stats_.prefix_evicted_pages =
-            prefix_->evictedNodes() * layers;
-    }
-
     // Decode pre-check: a slot whose length sits on a page boundary
     // acquires one fresh page per layer this step. Under over-admission
     // the pool may not have them — evict spans, then preempt victims
@@ -1081,23 +1066,30 @@ ServingEngine::step()
         }
     }
 
+    if (!decodeBatch() && !prefilled && !active_.empty() &&
+        budget_pages_ > 0) {
+        // Every active slot is prefill-stalled on pages and none
+        // outranks a victim (all equal priority, pool full of each
+        // other's pages): break the logjam with one priority-blind
+        // preemption — liveness beats strict priority order, and the
+        // freed pages let a survivor progress next step.
+        MXPLUS_CHECK(preemptVictim(/*blind=*/true, 0));
+    }
+    end_ms_ = nowMs();
+    return !active_.empty() || scheduler_->hasQueued();
+}
+
+bool
+ServingEngine::decodeBatch()
+{
     std::vector<Slot *> decoding;
     decoding.reserve(active_.size());
     for (auto &sp : active_) {
         if (!sp->prefilling)
             decoding.push_back(sp.get());
     }
-    if (decoding.empty()) {
-        if (!prefilled && !active_.empty() && budget_pages_ > 0) {
-            // Every active slot is prefill-stalled on pages and none
-            // outranks a victim (all equal priority, pool full of each
-            // other's pages): break the logjam with one priority-blind
-            // preemption — liveness beats strict priority order, and
-            // the freed pages let a survivor progress next step.
-            MXPLUS_CHECK(preemptVictim(/*blind=*/true, 0));
-        }
-        return !active_.empty() || scheduler_->hasQueued();
-    }
+    if (decoding.empty())
+        return false;
 
     std::vector<int> tokens(decoding.size());
     std::vector<KvCache *> caches(decoding.size());
@@ -1111,9 +1103,9 @@ ServingEngine::step()
         model_.decodeStepBatch(tokens, caches, qc_, workers_.get());
     const double dt = nowMs() - t0;
 
-    engine_stats_.decode_batches += 1;
-    engine_stats_.decode_ms += dt;
-    engine_stats_.decode_tokens += decoding.size();
+    counters_.decode_batches += 1;
+    counters_.decode_ms += dt;
+    counters_.decode_tokens += decoding.size();
     occupancy_sum_ += static_cast<double>(decoding.size());
     for (size_t i = 0; i < decoding.size(); ++i) {
         Slot &slot = *decoding[i];
@@ -1125,33 +1117,17 @@ ServingEngine::step()
     }
     samplePoolPeak();
     retireFinished();
-    return !active_.empty() || scheduler_->hasQueued();
-}
-
-void
-ServingEngine::runToCompletion()
-{
-    runToCompletion(0);
+    return true;
 }
 
 bool
 ServingEngine::runToCompletion(size_t max_steps)
 {
-    size_t steps = 0;
-    bool drained = true;
-    while (step()) {
-        ++steps;
-        if (max_steps > 0 && steps >= max_steps) {
-            // Watchdog: a liveness bug (or an impossible workload)
-            // must fail loudly, not hang — stats are still finalized
-            // so the caller can report what happened before tripping.
-            drained = false;
-            break;
-        }
+    for (size_t steps = 1; step(); ++steps) {
+        if (max_steps > 0 && steps >= max_steps)
+            return false;
     }
-    if (start_ms_ >= 0.0)
-        finalizeRun();
-    return drained;
+    return true;
 }
 
 bool
@@ -1173,44 +1149,41 @@ ServingEngine::auditInvariants() const
     return reserved == scheduler_->reservedPages();
 }
 
-void
-ServingEngine::finalizeRun()
+EngineStats
+ServingEngine::engineStats() const
 {
-    engine_stats_.wall_ms = nowMs() - start_ms_;
-    engine_stats_.total_generated = 0;
+    EngineStats es = counters_;
+    std::vector<const RequestStats *> requests;
+    requests.reserve(stats_.size());
     for (const RequestStats &rs : stats_)
-        engine_stats_.total_generated += rs.generated.size();
-    if (engine_stats_.wall_ms > 0.0) {
-        engine_stats_.throughput_tokens_per_s =
-            1000.0 *
-            static_cast<double>(engine_stats_.total_generated) /
-            engine_stats_.wall_ms;
+        requests.push_back(&rs);
+    tallyRequests(requests, es);
+    if (start_ms_ >= 0.0)
+        es.wall_ms = end_ms_ - start_ms_;
+    if (es.wall_ms > 0.0) {
+        es.throughput_tokens_per_s = 1000.0 *
+            static_cast<double>(es.total_generated) / es.wall_ms;
     }
-    if (engine_stats_.decode_batches > 0) {
-        engine_stats_.mean_batch_occupancy =
-            occupancy_sum_ /
-            static_cast<double>(engine_stats_.decode_batches);
+    if (es.decode_batches > 0) {
+        es.mean_batch_occupancy =
+            occupancy_sum_ / static_cast<double>(es.decode_batches);
     }
-    if (engine_stats_.decode_ms > 0.0) {
-        engine_stats_.decode_tokens_per_s =
-            1000.0 * static_cast<double>(engine_stats_.decode_tokens) /
-            engine_stats_.decode_ms;
+    if (es.decode_ms > 0.0) {
+        es.decode_tokens_per_s = 1000.0 *
+            static_cast<double>(es.decode_tokens) / es.decode_ms;
     }
-    engine_stats_.compressed_ratio = pool_->compressedRatio();
-    engine_stats_.codec_decode_calls = pool_->codecDecodeCalls();
-    engine_stats_.queue_wait_ms_p50 =
-        latencyPercentile(queue_wait_samples_, 0.50);
-    engine_stats_.queue_wait_ms_p99 =
-        latencyPercentile(queue_wait_samples_, 0.99);
-    size_t completed = 0;
-    for (const RequestStats &rs : stats_) {
-        if (rs.outcome == RequestOutcome::kCompleted)
-            ++completed;
-    }
-    engine_stats_.goodput_ok_fraction = stats_.empty()
-        ? 0.0
-        : static_cast<double>(completed) /
-            static_cast<double>(stats_.size());
+    // Per admission: a preempted request waits, and counts, again.
+    es.queue_wait_ms_p50 = latencyPercentile(queue_wait_samples_, 0.50);
+    es.queue_wait_ms_p99 = latencyPercentile(queue_wait_samples_, 0.99);
+    // Evictions happen on several paths (admission headroom, capacity
+    // pressure inside span publication, preemption headroom, a clear);
+    // the index's counter is the single source of truth.
+    if (prefix_ != nullptr)
+        es.prefix_evicted_pages =
+            prefix_->evictedNodes() * model_.config().n_layers;
+    es.compressed_ratio = pool_->compressedRatio();
+    es.codec_decode_calls = pool_->codecDecodeCalls();
+    return es;
 }
 
 const RequestStats &

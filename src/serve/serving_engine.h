@@ -73,8 +73,8 @@
  * independent of scheduling.
  *
  * All timing uses a steady clock; per-request latencies are measured
- * from engine start (runToCompletion), so a queued request's TTFT
- * includes its queueing delay. EngineOptions::step_time_ms switches
+ * from the engine's first step, so a queued request's TTFT includes
+ * its queueing delay. EngineOptions::step_time_ms switches
  * the REQUEST-FACING clock (deadlines, queue waits, TTFT) to a virtual
  * one that advances a fixed amount per scheduler step, which makes
  * deadline and shedding behaviour a deterministic function of the
@@ -277,14 +277,18 @@ struct EngineOptions
     FaultInjector *fault = nullptr;
     /**
      * Decode worker threads: batched decode partitions its per-request
-     * attention/matvec rows across a persistent WorkerPool of this
-     * size. 1 (the default) keeps today's serial single-thread path —
-     * no pool is created and CI single-core results are unchanged —
-     * and 0 means "one per hardware thread". Each batch row runs its
-     * exact serial arithmetic on exactly one thread, so tokens are
-     * bit-identical at every setting (asserted by tests/test_async.cpp
-     * and in-bench by bench_serving's poisson workload). See
-     * docs/ARCHITECTURE.md for the threading model.
+     * attention rows across a persistent WorkerPool of this size; 0
+     * means "one per hardware thread". At 1 (the default) no pool is
+     * created and decodeStepBatch runs a batch's attention rows in an
+     * OpenMP loop instead (`omp parallel for if (b > 1)`), which is
+     * serial only under OMP_NUM_THREADS=1. At the default OpenMP width
+     * on a 4-vCPU VM, bench_serving --quick's num_threads = 1 MXFP4+
+     * rows with batch > 1 read 0.50-0.84x their token_p50_ms at
+     * OMP_NUM_THREADS=1 (medians of four runs each). Each batch row
+     * runs its exact serial arithmetic on exactly one thread, so
+     * tokens are bit-identical at every setting (asserted by
+     * tests/test_async.cpp and in-bench by bench_serving's poisson
+     * workload). See docs/ARCHITECTURE.md for the threading model.
      */
     size_t num_threads = 1;
     /**
@@ -353,7 +357,10 @@ struct RequestStats
     double decode_tokens_per_s = 0.0;
 };
 
-/** Aggregate engine statistics for one runToCompletion(). */
+/**
+ * Aggregate engine statistics. ServingEngine::engineStats() computes
+ * them when read, so they are valid at every step boundary.
+ */
 struct EngineStats
 {
     double wall_ms = 0.0;
@@ -428,6 +435,15 @@ struct EngineStats
 /** Nearest-rank percentile of latency samples (shared with benches). */
 double latencyPercentile(std::vector<double> samples, double p);
 
+/**
+ * The per-request fields of @p es, one rule for an engine and the fleet
+ * merge: total_generated, the four non-completed outcome counters and
+ * goodput_ok_fraction, tallied over @p requests (one RequestStats per
+ * request; a pending one counts only in goodput's denominator).
+ */
+void tallyRequests(const std::vector<const RequestStats *> &requests,
+                   EngineStats &es);
+
 /** Continuous-batching serving engine over one model + quant config. */
 class ServingEngine
 {
@@ -462,16 +478,12 @@ class ServingEngine
      */
     bool step();
 
-    /** Drain the queue and all active requests. */
-    void runToCompletion();
-
     /**
-     * Watchdog variant: drain, but give up after @p max_steps steps
-     * (0 = unlimited). Returns false when the watchdog tripped —
-     * aggregate statistics are still finalized so the caller can
-     * report them while failing loudly instead of hanging forever.
+     * Step until the queue and every active request drain. A watchdog
+     * gives up after @p max_steps steps (0 = unlimited) and returns
+     * false, so a liveness bug fails loudly instead of hanging.
      */
-    bool runToCompletion(size_t max_steps);
+    bool runToCompletion(size_t max_steps = 0);
 
     /**
      * Cross-layer debug audit: pool accounting (KvPagePool::
@@ -484,7 +496,13 @@ class ServingEngine
     bool auditInvariants() const;
 
     const RequestStats &stats(size_t id) const;
-    const EngineStats &engineStats() const { return engine_stats_; }
+    /**
+     * Aggregate statistics, computed now from the engine's counters,
+     * its per-request stats, the prefix index and the pool. wall_ms
+     * ends at the latest step(), so two reads with no step between
+     * them are identical.
+     */
+    EngineStats engineStats() const;
     size_t queuedRequests() const { return scheduler_->queuedRequests(); }
     size_t activeRequests() const { return active_.size(); }
 
@@ -564,8 +582,7 @@ class ServingEngine
         engine default, 0 = none. */
     double effectiveDeadlineMs(size_t id) const;
     double effectiveTtftDeadlineMs(size_t id) const;
-    /** Stamp a terminal outcome, bumping the matching engine
-        counter. */
+    /** Stamp request @p id's terminal outcome. */
     void markTerminal(size_t id, RequestOutcome outcome);
     /** Terminate an active slot from any phase: finalize its partial
         stats, release reservation and pins, drop its pages. */
@@ -577,6 +594,10 @@ class ServingEngine
      * is immediately reusable this very step.
      */
     void lifecyclePass();
+    /** The cancel, deadline or TTFT-deadline outcome the lifecycle
+        pass applies to request @p id at request-clock @p now
+        (kPending = none). */
+    RequestOutcome lifecycleVerdict(size_t id, double now) const;
     /**
      * findChild plus adoption-time checksum verification (when
      * checksum_pages): a span failing verify() is quarantined,
@@ -584,8 +605,9 @@ class ServingEngine
      */
     PrefixIndex::Node *verifiedChild(PrefixIndex::Node *parent,
                                      const int *page_tokens);
-    /** match() built on verifiedChild — the admission-time walk never
-        counts pages an adoption would later refuse. */
+    /** The longest verifiedChild() path over @p prompt's adoptable
+        pages — the admission-time walk never counts pages an
+        adoption would later refuse. */
     PrefixIndex::Node *verifiedMatch(const std::vector<int> &prompt,
                                      size_t *matched_pages);
     /** Per-layer pages a request needs over its whole lifetime. */
@@ -625,13 +647,13 @@ class ServingEngine
         Returns false when no candidate exists. */
     bool preemptVictim(bool blind, double below_key);
     void prefillQuantum(Slot &slot);
+    /** One batched decode step over every slot past prefill, then
+        sampling and retirement; false when no slot was decoding. */
+    bool decodeBatch();
     void retireFinished();
     void samplePoolPeak();
     int pickToken(Slot &slot, const float *logits) const;
     void finalize(RequestStats &rs) const;
-    /** Aggregate-stat finalization shared by both runToCompletion
-        overloads (wall time, throughput, goodput, percentiles). */
-    void finalizeRun();
 
     const Transformer &model_;
     QuantConfig qc_;
@@ -658,13 +680,16 @@ class ServingEngine
         the same spans cannot double-count. */
     std::vector<uint8_t> prefix_hit_counted_;
 
-    EngineStats engine_stats_;
-    std::vector<double> queue_wait_samples_;
+    /** The counted and peak fields of EngineStats, bumped where they
+        happen; engineStats() derives the rest on read. */
+    EngineStats counters_;
+    std::vector<double> queue_wait_samples_; ///< one per admission
     uint64_t next_admit_seq_ = 0;
     /** Latches once admission first defers on the budget (gates the
         admitted_before_first_defer capacity counter). */
     bool first_defer_seen_ = false;
     double start_ms_ = -1.0;       ///< wall clock at first step (perf)
+    double end_ms_ = -1.0;         ///< wall clock at the latest step's end
     double clock_start_ms_ = -1.0; ///< request clock at first step
     double occupancy_sum_ = 0.0;
 

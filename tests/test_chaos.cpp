@@ -247,7 +247,7 @@ runEpisode(const Transformer &model, const char *fmt, uint64_t seed,
             break;
         }
     }
-    const EngineStats &es = engine.engineStats();
+    const EngineStats es = engine.engineStats();
     EXPECT_EQ(completed + es.shed_requests + es.timed_out_requests +
                   es.cancelled_requests,
               reqs.size());

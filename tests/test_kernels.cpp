@@ -275,19 +275,17 @@ TEST(GemmShapeStability, MatvecMatchesGemmAndHandlesStrides)
         for (size_t j = 0; j < w.rows(); ++j)
             ASSERT_EQ(y[j], c_gemm.at(2, j)) << j;
 
-        // Strided batch: rows embedded in a wider scratch buffer, as when
-        // gathering tokens from different requests.
-        const size_t ldx = x.cols() + 13;
-        const size_t ldy = w.rows() + 5;
-        std::vector<float> xs(x.rows() * ldx, -7.0f);
-        std::vector<float> ys(x.rows() * ldy, -7.0f);
-        for (size_t r = 0; r < x.rows(); ++r)
-            std::copy(x.row(r), x.row(r) + x.cols(), &xs[r * ldx]);
-        KernelDispatch::matvecBatch(backend, w, xs.data(), ldx, ys.data(),
-                                    ldy, x.rows());
+        // Strided W: weight rows embedded in a wider buffer, as the
+        // decode attention reads head slices out of a KV cache page.
+        const size_t ldw = w.cols() + 13;
+        std::vector<float> ws(w.rows() * ldw, -7.0f);
+        for (size_t j = 0; j < w.rows(); ++j)
+            std::copy(w.row(j), w.row(j) + w.cols(), &ws[j * ldw]);
         for (size_t r = 0; r < x.rows(); ++r) {
+            KernelDispatch::matvecStrided(backend, ws.data(), ldw, w.rows(),
+                                          w.cols(), x.row(r), y.data());
             for (size_t j = 0; j < w.rows(); ++j)
-                ASSERT_EQ(ys[r * ldy + j], c_gemm.at(r, j))
+                ASSERT_EQ(y[j], c_gemm.at(r, j))
                     << kernelBackendName(backend) << " (" << r << ", "
                     << j << ")";
         }

@@ -6,7 +6,8 @@
  * including mid-prefix-adoption — TTFT and end-to-end deadlines on the
  * deterministic virtual step clock, bounded-queue load shedding under
  * both policies, shared-page checksum verification, the fault
- * injector's determinism contract, and the runToCompletion watchdog.
+ * injector's determinism contract, the runToCompletion watchdog, and
+ * engine statistics that are valid whenever they are read.
  *
  * Every non-completed exit is checked for CLEAN release: pool pages,
  * reservation-ledger entries and prefix-trie pins all return to their
@@ -587,7 +588,7 @@ TEST(Lifecycle, RunToCompletionWatchdogTripsInsteadOfHanging)
     ServingEngine capped(model, qc, 1);
     capped.submit(req);
     EXPECT_FALSE(capped.runToCompletion(2)); // cannot finish in 2 steps
-    // Stats are still finalized for loud failure reporting.
+    // Stats stay readable for loud failure reporting.
     EXPECT_GT(capped.engineStats().wall_ms, 0.0);
 
     ServingEngine roomy(model, qc, 1);
@@ -595,6 +596,103 @@ TEST(Lifecycle, RunToCompletionWatchdogTripsInsteadOfHanging)
     EXPECT_TRUE(roomy.runToCompletion(100000));
     EXPECT_EQ(roomy.stats(id).outcome, RequestOutcome::kCompleted);
     EXPECT_DOUBLE_EQ(roomy.engineStats().goodput_ok_fraction, 1.0);
+}
+
+// --------------------------------------------------- statistics on read --
+
+/** Field-for-field equality of two stats blocks; @p wall adds the
+    wall-clock fields (wall_ms, decode_ms and the two tok/s rates). */
+void
+expectSameStats(const EngineStats &a, const EngineStats &b, bool wall)
+{
+    if (wall) {
+        EXPECT_DOUBLE_EQ(a.wall_ms, b.wall_ms);
+        EXPECT_DOUBLE_EQ(a.throughput_tokens_per_s,
+                         b.throughput_tokens_per_s);
+        EXPECT_DOUBLE_EQ(a.decode_ms, b.decode_ms);
+        EXPECT_DOUBLE_EQ(a.decode_tokens_per_s, b.decode_tokens_per_s);
+    }
+    EXPECT_EQ(a.total_generated, b.total_generated);
+    EXPECT_EQ(a.decode_batches, b.decode_batches);
+    EXPECT_EQ(a.decode_tokens, b.decode_tokens);
+    EXPECT_DOUBLE_EQ(a.mean_batch_occupancy, b.mean_batch_occupancy);
+    EXPECT_EQ(a.kv_bytes_peak, b.kv_bytes_peak);
+    EXPECT_EQ(a.kv_bytes_reserved_peak, b.kv_bytes_reserved_peak);
+    EXPECT_EQ(a.kv_pages_peak, b.kv_pages_peak);
+    EXPECT_EQ(a.prefill_chunks, b.prefill_chunks);
+    EXPECT_EQ(a.admission_deferred_steps, b.admission_deferred_steps);
+    EXPECT_EQ(a.prefix_hit_requests, b.prefix_hit_requests);
+    EXPECT_EQ(a.prefix_hit_tokens, b.prefix_hit_tokens);
+    EXPECT_EQ(a.prefix_inserted_tokens, b.prefix_inserted_tokens);
+    EXPECT_EQ(a.prefix_evicted_pages, b.prefix_evicted_pages);
+    EXPECT_EQ(a.sjf_reorders, b.sjf_reorders);
+    EXPECT_EQ(a.rejected_requests, b.rejected_requests);
+    EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.preempted_recompute_tokens, b.preempted_recompute_tokens);
+    EXPECT_DOUBLE_EQ(a.queue_wait_ms_p50, b.queue_wait_ms_p50);
+    EXPECT_DOUBLE_EQ(a.queue_wait_ms_p99, b.queue_wait_ms_p99);
+    EXPECT_EQ(a.shed_requests, b.shed_requests);
+    EXPECT_EQ(a.timed_out_requests, b.timed_out_requests);
+    EXPECT_EQ(a.cancelled_requests, b.cancelled_requests);
+    EXPECT_EQ(a.checksum_failures, b.checksum_failures);
+    EXPECT_EQ(a.admitted_before_first_defer, b.admitted_before_first_defer);
+    EXPECT_DOUBLE_EQ(a.compressed_ratio, b.compressed_ratio);
+    EXPECT_EQ(a.codec_decode_calls, b.codec_decode_calls);
+    EXPECT_DOUBLE_EQ(a.goodput_ok_fraction, b.goodput_ok_fraction);
+}
+
+TEST(Lifecycle, EngineStatsReadAfterManualStepsEqualRunToCompletion)
+{
+    // One engine stepped by hand until idle, its twin drained by
+    // runToCompletion(), over the same requests on the virtual clock:
+    // a 2x window over a two-request budget preempts, a queue cap of
+    // five sheds the sixth submit, and one request is cancelled.
+    const Transformer model(tinyConfig());
+    const QuantConfig qc = QuantConfig::fromFormat("MXFP4+");
+    EngineOptions opts;
+    opts.max_batch = 4;
+    opts.kv_budget_tokens = 128;
+    opts.over_admission = 2.0;
+    opts.queue_cap = 5;
+    opts.step_time_ms = 1.0;
+    ServingEngine stepped(model, qc, opts);
+    ServingEngine drained(model, qc, opts);
+    for (ServingEngine *e : {&stepped, &drained}) {
+        for (size_t r = 0; r < 6; ++r) {
+            ServeRequest req;
+            req.prompt = tokenRamp(40, static_cast<int>(3 + 2 * r));
+            req.max_new_tokens = 24;
+            e->submit(req);
+        }
+        EXPECT_TRUE(e->cancel(2));
+    }
+
+    size_t steps = 0;
+    bool busy = true;
+    while (busy) {
+        busy = stepped.step();
+        ++steps;
+        // Valid at every step boundary, and a read changes nothing.
+        const EngineStats now = stepped.engineStats();
+        expectSameStats(now, stepped.engineStats(), /*wall=*/true);
+        size_t generated = 0;
+        for (size_t id = 0; id < 6; ++id)
+            generated += stepped.stats(id).generated.size();
+        ASSERT_EQ(now.total_generated, generated) << "step " << steps;
+    }
+    drained.runToCompletion();
+
+    const EngineStats a = stepped.engineStats();
+    const EngineStats b = drained.engineStats();
+    EXPECT_GT(a.preemptions, 0u);
+    EXPECT_EQ(a.shed_requests, 1u);
+    EXPECT_EQ(a.cancelled_requests, 1u);
+    EXPECT_DOUBLE_EQ(a.goodput_ok_fraction, 4.0 / 6.0);
+    EXPECT_EQ(a.total_generated, 4u * 24u);
+    EXPECT_GT(a.mean_batch_occupancy, 1.0);
+    EXPECT_GT(a.queue_wait_ms_p99, 0.0);
+    expectSameStats(a, b, /*wall=*/false);
+    expectSameStats(b, drained.engineStats(), /*wall=*/true);
 }
 
 } // namespace

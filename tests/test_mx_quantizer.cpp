@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -252,21 +253,39 @@ class MxPropertyTest : public ::testing::TestWithParam<FormatMode>
     }
 };
 
+/** Bitwise float equality (tells +0.0 from -0.0). */
+bool
+sameBits(float a, float b)
+{
+    return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
 TEST_P(MxPropertyTest, EncodeDecodeMatchesFakeQuantize)
 {
     const MxQuantizer q(format(), mode());
     Rng rng(1000 + static_cast<int>(format()) * 10 +
             static_cast<int>(mode()));
-    for (int trial = 0; trial < 500; ++trial) {
-        const auto block = randomBlock(rng, 32);
+    std::vector<std::vector<float>> blocks;
+    for (int trial = 0; trial < 500; ++trial)
+        blocks.push_back(randomBlock(rng, 32));
+    // Zero blocks (MXINT code 0 is the most negative integer, not zero)
+    // and exact -0.0 elements, which fake quantization maps to +0.0.
+    blocks.emplace_back(32, 0.0f);
+    blocks.emplace_back(32, -0.0f);
+    std::vector<float> mixed = randomBlock(rng, 32);
+    for (size_t i = 0; i < mixed.size(); i += 3)
+        mixed[i] = -0.0f;
+    blocks.push_back(mixed);
+    for (size_t t = 0; t < blocks.size(); ++t) {
         float fake[32];
         float decoded[32];
-        q.fakeQuantizeBlock(block.data(), fake, 32);
-        const MxBlock enc = q.encodeBlock(block.data(), 32);
+        q.fakeQuantizeBlock(blocks[t].data(), fake, 32);
+        const MxBlock enc = q.encodeBlock(blocks[t].data(), 32);
         q.decodeBlock(enc, decoded, 32);
         for (int i = 0; i < 32; ++i)
-            EXPECT_EQ(fake[i], decoded[i])
-                << q.name() << " trial " << trial << " elem " << i;
+            EXPECT_TRUE(sameBits(fake[i], decoded[i]))
+                << q.name() << " block " << t << " elem " << i << ": "
+                << fake[i] << " vs " << decoded[i];
     }
 }
 

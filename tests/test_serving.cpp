@@ -87,6 +87,12 @@ TEST(KvCache, GrowthPreservesQuantizedViews)
     // Every view must equal a one-shot quantization of the raw prefix:
     // K per token along the head dim, V per channel along the sequence.
     for (size_t l = 0; l < cfg.n_layers; ++l) {
+        Matrix got_k;
+        Matrix got_v;
+        cache.gatherKeys(l, got_k);
+        cache.gatherValuesT(l, got_v);
+        ASSERT_EQ(got_k.rows(), total);
+        ASSERT_EQ(got_v.cols(), total);
         for (size_t h = 0; h < cfg.n_heads; ++h) {
             const size_t c0 = h * dh;
             Matrix kh(total, dh);
@@ -99,18 +105,16 @@ TEST(KvCache, GrowthPreservesQuantizedViews)
             }
             const Matrix khq = qc.attention->quantized(kh);
             const Matrix vtq = qc.attention->quantized(vt);
-            Matrix got_k;
-            Matrix got_v;
-            cache.headKeys(l, h, got_k);
-            cache.headValuesT(l, h, got_v);
-            ASSERT_EQ(got_k.rows(), total);
-            ASSERT_EQ(got_v.cols(), total);
-            for (size_t i = 0; i < khq.size(); ++i)
-                ASSERT_EQ(got_k.data()[i], khq.data()[i])
-                    << "K layer " << l << " head " << h << " idx " << i;
-            for (size_t i = 0; i < vtq.size(); ++i)
-                ASSERT_EQ(got_v.data()[i], vtq.data()[i])
-                    << "V layer " << l << " head " << h << " idx " << i;
+            for (size_t t = 0; t < total; ++t) {
+                for (size_t c = 0; c < dh; ++c) {
+                    ASSERT_EQ(got_k.at(t, c0 + c), khq.at(t, c))
+                        << "K layer " << l << " head " << h << " (" << t
+                        << ", " << c << ")";
+                    ASSERT_EQ(got_v.at(c0 + c, t), vtq.at(c, t))
+                        << "V layer " << l << " head " << h << " (" << c
+                        << ", " << t << ")";
+                }
+            }
         }
     }
 }
@@ -578,7 +582,7 @@ TEST(ServingEngine, StatsAreCoherent)
             EXPECT_LT(static_cast<size_t>(t), model.config().vocab);
         }
     }
-    const EngineStats &es = engine.engineStats();
+    const EngineStats es = engine.engineStats();
     EXPECT_GT(es.wall_ms, 0.0);
     EXPECT_GT(es.decode_batches, 0u);
     EXPECT_GE(es.mean_batch_occupancy, 1.0);
@@ -785,7 +789,7 @@ TEST(ServingEngine, TokenBudgetSerializesWithoutChangingTokens)
                   oracle.stats(oracle_ids[r]).generated)
             << "request " << r;
     }
-    const EngineStats &es = engine.engineStats();
+    const EngineStats es = engine.engineStats();
     EXPECT_GT(es.admission_deferred_steps, 0u);
     EXPECT_LE(es.kv_pages_peak, engine.pool().maxPages());
     EXPECT_EQ(engine.kvBytesLive(), 0u);
@@ -872,7 +876,7 @@ TEST(ServingEngine, KvBytesPeakReportsLivePagesNotReservations)
     engine.submit(std::move(long_req));
     engine.runToCompletion();
 
-    const EngineStats &es = engine.engineStats();
+    const EngineStats es = engine.engineStats();
     const size_t layers = model.config().n_layers;
     EXPECT_GT(es.kv_pages_peak, 0u);
     EXPECT_LT(es.kv_pages_peak, reserved_total * layers);
@@ -1415,7 +1419,7 @@ TEST(Preemption, QueueWaitAndPreemptionStatsAreCoherent)
     }
     engine.runToCompletion();
 
-    const EngineStats &es = engine.engineStats();
+    const EngineStats es = engine.engineStats();
     EXPECT_GT(es.preemptions, 0u);
     EXPECT_GE(es.queue_wait_ms_p99, es.queue_wait_ms_p50);
     EXPECT_GE(es.queue_wait_ms_p50, 0.0);
@@ -1717,7 +1721,7 @@ TEST(CompressedPages, EngineTokensBitIdenticalWithCompressionOnEveryCodec)
                           plain.stats(plain_ids[r]).generated)
                     << fmt << " codec " << codec << " request " << r;
             }
-            const EngineStats &es = comp.engineStats();
+            const EngineStats es = comp.engineStats();
             EXPECT_GT(es.compressed_ratio, 1.0) << fmt << " " << codec;
             EXPECT_GT(es.codec_decode_calls, 0u) << fmt << " " << codec;
             EXPECT_GT(comp.pool().compressedPages(), 0u)
@@ -1750,7 +1754,7 @@ TEST(CompressedPages, PeakAccountingConvergesWithCompressionOff)
     for (const auto &req : sharedPrefixRequests(3, 64, 8, 5))
         engine.submit(req);
     engine.runToCompletion();
-    const EngineStats &es = engine.engineStats();
+    const EngineStats es = engine.engineStats();
     EXPECT_GT(es.kv_bytes_peak, 0u);
     EXPECT_EQ(es.kv_bytes_peak, es.kv_bytes_reserved_peak);
     EXPECT_EQ(es.compressed_ratio, 1.0);
