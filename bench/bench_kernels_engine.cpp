@@ -1,8 +1,9 @@
 /**
  * @file
  * Machine-readable microbenchmark of the KernelDispatch engine: GEMM
- * GFLOP/s and block-quantization GB/s per backend and shape, and the
- * serving linears' cost with and without the quantize-once weight store,
+ * GFLOP/s and block-quantization GB/s per backend and shape, the
+ * frozen-page codecs on one page region, and the serving linears' cost
+ * with and without the quantize-once weight store,
  * emitted as JSON so future PRs have a performance trajectory to regress
  * against (the committed snapshot lives in BENCH_kernels.json).
  *
@@ -210,50 +211,95 @@ benchStoreLinear(const std::string &format, size_t m, size_t n, size_t k,
     return r;
 }
 
-/**
- * Page-codec encode/decode GB/s over fakeQuantized K/V codes — the
- * exact data frozen KV pages hold, so the throughput (and the ratio
- * the encoder achieves) matches what KvPagePool::compressPage and
- * pageRegion see in serving. GB/s counts payload (float) bytes, the
- * serving-relevant side of the stream. ref_gbps is the scalar
- * "reference" codec, simd_gbps the AVX2 "simd" codec (falls back to
- * reference where AVX2 is unavailable, like KernelDispatch does).
- */
-QuantResult
-benchCodec(const char *api, ElementFormat fmt, MxMode mode, size_t rows,
-           size_t cols, double min_time)
+/** One page region (32 tokens x 256 channels) quantized by @p tq. */
+std::vector<float>
+pageRegion(const TensorQuantizer &tq)
 {
-    const MxQuantizer q(fmt, mode);
-    const auto data = randomActivations(rows * cols, 5);
-    std::vector<float> codes(data.size());
-    KernelDispatch::quantizeRows(KernelBackend::Reference, q, data.data(),
-                                 codes.data(), rows, cols);
-    const double bytes =
-        static_cast<double>(codes.size()) * sizeof(float);
-    const bool decode = std::strcmp(api, "codecDecode") == 0;
+    const auto data = randomActivations(32 * 256, 5);
+    std::vector<float> page(data.size());
+    tq.quantizeRows(data.data(), page.data(), 32, 256);
+    return page;
+}
 
-    auto run = [&](const PageCodec *codec) {
-        std::vector<uint8_t> stream;
-        codec->encode(codes.data(), codes.size(), stream);
-        std::vector<float> out(codes.size());
-        std::vector<uint8_t> scratch;
-        const double sec = timeIt(
-            [&] {
-                if (decode) {
-                    codec->decode(stream.data(), stream.size(),
-                                  out.data(), out.size());
-                } else {
-                    codec->encode(codes.data(), codes.size(), scratch);
-                }
-            },
-            min_time);
-        return bytes / sec * 1e-9;
+/** One page region's codec rates and stream ratio. */
+struct PageCodecResult
+{
+    std::string format;
+    const char *codec; ///< "dense" or "bitpack"
+    double encode_gbps;
+    double ref_decode_gbps;
+    double simd_decode_gbps;
+    double ratio; ///< payload bytes / stream bytes
+};
+
+/**
+ * The frozen-page codec on one page region at the serving shape (32
+ * tokens x 256 channels, the bench model's K or V region): @p format's
+ * fake-quantized activations, encoded and decoded by the codec the
+ * engine gives that format (the dense MX codec for MX formats, the
+ * bitpacker otherwise). GB/s counts payload (float) bytes, the
+ * serving-relevant side of the stream. Encode has one rate: both decode
+ * backends of a codec share its encoder. Decode runs the scalar and the
+ * AVX2 backend (scalar where AVX2 is unavailable, like KernelDispatch).
+ */
+PageCodecResult
+benchPageCodec(const std::string &format, double min_time)
+{
+    const QuantizerPtr tq = makeQuantizerByName(format);
+    const std::vector<float> page = pageRegion(*tq);
+    const MxQuantizer *mx = tq->mxQuantizer();
+    const auto codec = [&](bool simd) {
+        return mx != nullptr ? makeDenseMxCodec(*mx, simd)
+                             : makePageCodec(simd ? "simd" : "reference");
     };
-    const PageCodec *reference = pageCodecByName("reference");
-    const PageCodec *simd = pageCodecByName("simd");
-    QuantResult r{q.name(), mxModeName(mode), api, 0.0, 0.0};
-    r.ref_gbps = run(reference);
-    r.simd_gbps = run(simd != nullptr ? simd : reference);
+    const double bytes = static_cast<double>(page.size()) * sizeof(float);
+    std::vector<uint8_t> stream;
+    std::vector<float> out(page.size());
+    PageCodecResult r{format, mx != nullptr ? "dense" : "bitpack", 0, 0, 0,
+                      0};
+    const auto encoder = codec(false);
+    r.encode_gbps = bytes * 1e-9 /
+        timeIt([&] { encoder->encode(page.data(), page.size(), stream); },
+               min_time);
+    r.ratio = bytes / static_cast<double>(stream.size());
+    auto decode_gbps = [&](bool simd) {
+        const auto decoder = codec(simd);
+        return bytes * 1e-9 / timeIt(
+                                  [&] {
+                                      decoder->decode(stream.data(),
+                                                      stream.size(),
+                                                      out.data(), out.size());
+                                  },
+                                  min_time);
+    };
+    r.ref_decode_gbps = decode_gbps(false);
+    r.simd_decode_gbps = decode_gbps(true);
+    return r;
+}
+
+/** One page region's stream ratio under the dense and the bitpack codec. */
+struct PageRatio
+{
+    std::string format;
+    double dense;
+    double bitpack;
+};
+
+PageRatio
+pageRatio(const std::string &format)
+{
+    const QuantizerPtr tq = makeQuantizerByName(format);
+    const std::vector<float> page = pageRegion(*tq);
+    const double bytes = static_cast<double>(page.size()) * sizeof(float);
+    std::vector<uint8_t> stream;
+    PageRatio r{format, 0.0, 0.0};
+    r.dense = bytes / static_cast<double>(
+                          makeDenseMxCodec(*tq->mxQuantizer(), false)
+                              ->encode(page.data(), page.size(), stream));
+    r.bitpack = bytes / static_cast<double>(pageCodecByName("reference")
+                                                ->encode(page.data(),
+                                                         page.size(),
+                                                         stream));
     return r;
 }
 
@@ -318,19 +364,17 @@ main(int argc, char **argv)
     quant.push_back(
         benchPack(ElementFormat::E2M1, MxMode::Plus, qrows, qcols,
                   min_time));
-    // Frozen-page codec rows: encode and decode throughput over the
-    // K/V code distributions the serving pool actually compresses.
-    for (const char *api : {"codecEncode", "codecDecode"}) {
-        for (const auto &[fmt, mode] :
-             {std::pair<ElementFormat, MxMode>{ElementFormat::E2M1,
-                                               MxMode::Plus},
-              std::pair<ElementFormat, MxMode>{ElementFormat::E4M3,
-                                               MxMode::Standard}}) {
-            std::fprintf(stderr, "codec %s %d/%d...\n", api,
-                         static_cast<int>(fmt), static_cast<int>(mode));
-            quant.push_back(
-                benchCodec(api, fmt, mode, qrows, qcols, min_time));
-        }
+    // Frozen-page codec rows at the serving shape, and every MX
+    // format's dense vs bitpack stream ratio.
+    std::vector<PageCodecResult> pages;
+    for (const char *format : {"MXFP4+", "MXFP8", "BF16"}) {
+        std::fprintf(stderr, "page codec %s...\n", format);
+        pages.push_back(benchPageCodec(format, min_time));
+    }
+    std::vector<PageRatio> ratios;
+    for (const std::string &name : knownQuantizerNames()) {
+        if (makeQuantizerByName(name)->mxQuantizer() != nullptr)
+            ratios.push_back(pageRatio(name));
     }
 
     // The bench model's (sim-llama-3.1-70b) three linear shapes: the
@@ -386,6 +430,37 @@ main(int argc, char **argv)
                      q.api, q.format.c_str(), q.mode, q.ref_gbps,
                      q.simd_gbps, q.simd_gbps / q.ref_gbps,
                      i + 1 < quant.size() ? "," : "");
+    }
+    std::fprintf(out, "  ],\n");
+    std::fprintf(out, "  \"page_codec\": [\n");
+    for (size_t i = 0; i < pages.size(); ++i) {
+        const auto &p = pages[i];
+        std::fprintf(out,
+                     "    {\"api\": \"pageEncode\", \"format\": \"%s\", "
+                     "\"codec\": \"%s\", \"tokens\": 32, "
+                     "\"channels\": 256, \"gbps\": %.3f, "
+                     "\"ratio\": %.3f},\n",
+                     p.format.c_str(), p.codec, p.encode_gbps, p.ratio);
+        std::fprintf(out,
+                     "    {\"api\": \"pageDecode\", \"format\": \"%s\", "
+                     "\"codec\": \"%s\", \"tokens\": 32, "
+                     "\"channels\": 256, \"reference_gbps\": %.3f, "
+                     "\"simd_gbps\": %.3f, \"speedup\": %.2f, "
+                     "\"ratio\": %.3f}%s\n",
+                     p.format.c_str(), p.codec, p.ref_decode_gbps,
+                     p.simd_decode_gbps,
+                     p.simd_decode_gbps / p.ref_decode_gbps, p.ratio,
+                     i + 1 < pages.size() ? "," : "");
+    }
+    std::fprintf(out, "  ],\n");
+    std::fprintf(out, "  \"page_ratio\": [\n");
+    for (size_t i = 0; i < ratios.size(); ++i) {
+        const auto &r = ratios[i];
+        std::fprintf(out,
+                     "    {\"format\": \"%s\", \"dense_ratio\": %.3f, "
+                     "\"bitpack_ratio\": %.3f}%s\n",
+                     r.format.c_str(), r.dense, r.bitpack,
+                     i + 1 < ratios.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
     std::fprintf(out, "  \"weight_store\": [\n");

@@ -285,34 +285,27 @@ decodeStream(const uint8_t *in, size_t size, float *out, size_t n,
     return pos == size;
 }
 
-class ReferencePageCodec final : public PageCodec {
+/// The bitpacker; the decode backend is its only variant.
+class BitpackPageCodec final : public PageCodec {
   public:
-    const char *name() const override { return "reference"; }
+    explicit BitpackPageCodec(bool simd) : simd_(simd) {}
+    const char *name() const override
+    {
+        return simd_ ? "simd" : "reference";
+    }
     size_t encode(const float *in, size_t n,
                   std::vector<uint8_t> &out) const override
     {
-        return encodeStream(in, n, out);
+        return encodeStream(in, n, out); // bitstream shared by backends
     }
     bool decode(const uint8_t *in, size_t size, float *out,
                 size_t n) const override
     {
-        return decodeStream(in, size, out, n, /*use_avx2=*/false);
+        return decodeStream(in, size, out, n, /*use_avx2=*/simd_);
     }
-};
 
-class SimdPageCodec final : public PageCodec {
-  public:
-    const char *name() const override { return "simd"; }
-    size_t encode(const float *in, size_t n,
-                  std::vector<uint8_t> &out) const override
-    {
-        return encodeStream(in, n, out); // bitstream shared with reference
-    }
-    bool decode(const uint8_t *in, size_t size, float *out,
-                size_t n) const override
-    {
-        return decodeStream(in, size, out, n, /*use_avx2=*/true);
-    }
+  private:
+    bool simd_;
 };
 
 } // namespace
@@ -320,8 +313,8 @@ class SimdPageCodec final : public PageCodec {
 const PageCodec *
 pageCodecByName(const std::string &name)
 {
-    static const ReferencePageCodec ref;
-    static const SimdPageCodec simd;
+    static const BitpackPageCodec ref(/*simd=*/false);
+    static const BitpackPageCodec simd(/*simd=*/true);
     if (name == "reference")
         return &ref;
     if (name == "simd")
@@ -344,6 +337,14 @@ std::vector<const PageCodec *>
 allPageCodecs()
 {
     return {pageCodecByName("reference"), pageCodecByName("simd")};
+}
+
+std::unique_ptr<const PageCodec>
+makePageCodec(const std::string &name)
+{
+    if (pageCodecByName(name) == nullptr)
+        return nullptr;
+    return std::make_unique<BitpackPageCodec>(name == "simd");
 }
 
 } // namespace mxplus

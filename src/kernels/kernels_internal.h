@@ -33,9 +33,11 @@
 #define MXPLUS_KERNELS_KERNELS_INTERNAL_H
 
 #include <cstddef>
+#include <cstdint>
 
 namespace mxplus {
 class MxPanelWeight;
+class MxQuantizer;
 } // namespace mxplus
 
 namespace mxplus::kernels {
@@ -99,6 +101,35 @@ void decodePanelAvx2(const MxPanelWeight &w, float *panel, size_t pc,
 
 /** Decode a stored MX weight to row-major [N x K] floats (reference). */
 void decodeRowsReference(const MxPanelWeight &w, float *out);
+
+/**
+ * A run of MX blocks stored back to back, as a dense MX page holds them
+ * (codec/page_codec.h): block b's blockSize() element codes follow block
+ * b - 1's, packed at the element width (code i at bit i * width, LSB
+ * first), with one E8M0 scale byte per block and, in MX+/MX++ mode, one
+ * meta byte (BM index | MX++ delta << 5).
+ */
+struct MxBlockRun
+{
+    const uint8_t *codes = nullptr;
+    const uint8_t *scales = nullptr;
+    const uint8_t *metas = nullptr; ///< null in MX mode
+    size_t blocks = 0;
+};
+
+/**
+ * Decode @p run into blocks * blockSize() floats, bit-identical to
+ * MxQuantizer::decodeBlock of each block. A block whose scale byte is
+ * E8M0::kNaN holds no encoding: its floats are left for the caller to
+ * write. Every other block's BM index must be below the block size.
+ * The reference backend decodes through decodeBlock; the AVX2 backend
+ * looks codes up in the weight store's float tables (block sizes 8, 16
+ * and 32; others decode as the reference does).
+ */
+void decodeBlocksReference(const MxQuantizer &q, const MxBlockRun &run,
+                           float *out);
+void decodeBlocksAvx2(const MxQuantizer &q, const MxBlockRun &run,
+                      float *out);
 
 /** Reference (original scalar) GEMM kernels. */
 void gemmNTReference(const float *a, const float *b, float *c, size_t m,

@@ -209,16 +209,6 @@ MxQuantizer::encodeBlock(const float *in, int n) const
 
     const int shared_exp = sharedExp(in, n);
     block.scale_code = E8M0::encode(shared_exp);
-    const double scale = pow2d(shared_exp);
-
-    if (mode_ == MxMode::Standard) {
-        for (int i = 0; i < n; ++i)
-            block.codes[i] = encodeElement(static_cast<double>(in[i]) / scale);
-        return block;
-    }
-
-    block.bm_index = static_cast<uint8_t>(bm);
-
     int nbm_exp = shared_exp;
     if (mode_ == MxMode::PlusPlus) {
         int max2 = INT32_MIN;
@@ -232,11 +222,33 @@ MxQuantizer::encodeBlock(const float *in, int n) const
             nbm_exp = std::clamp(e, shared_exp - 7, shared_exp);
         }
     }
-    block.nbm_delta = static_cast<uint8_t>(shared_exp - nbm_exp);
-    const double nbm_scale = pow2d(nbm_exp);
+    return encodeBlockAt(in, n, block.scale_code, bm,
+                         static_cast<uint8_t>(shared_exp - nbm_exp));
+}
 
+MxBlock
+MxQuantizer::encodeBlockAt(const float *in, int n, uint8_t scale_code,
+                           int bm_index, uint8_t nbm_delta) const
+{
+    MXPLUS_CHECK(n >= 1 && n <= block_size_);
+    MXPLUS_CHECK(scale_code != E8M0::kNaN && bm_index >= 0 &&
+                 bm_index < n && nbm_delta <= 7);
+    MxBlock block;
+    block.n = n;
+    block.scale_code = scale_code;
+    const double scale = E8M0::value(scale_code);
+
+    if (mode_ == MxMode::Standard) {
+        for (int i = 0; i < n; ++i)
+            block.codes[i] = encodeElement(static_cast<double>(in[i]) / scale);
+        return block;
+    }
+
+    block.bm_index = static_cast<uint8_t>(bm_index);
+    block.nbm_delta = nbm_delta;
+    const double nbm_scale = scale / pow2d(static_cast<int>(nbm_delta));
     for (int i = 0; i < n; ++i) {
-        if (i == bm) {
+        if (i == bm_index) {
             const double scaled = static_cast<double>(in[i]) / scale;
             block.codes[i] = bmCodec(format_).encode(scaled);
         } else {

@@ -74,6 +74,17 @@ struct MxBlock
  *    explorer, the GPU dot-product-engine simulator and the tests.
  * Both styles produce bit-identical values, signed zeros included
  * (tested property).
+ *
+ * Fake quantization is not a projection, so re-encoding its output need
+ * not give back the same values:
+ *  - it keeps the sign of an element that rounds to zero (-0.0), while
+ *    encodeBlock gives every exact zero the +0 code;
+ *  - under MX+/MX++ it is not idempotent: a non-BM element can round
+ *    above the rounded BM (a BM of 22.3 rounds to 22 on the BM grid, an
+ *    NBM of 22.1 to 24 on E2M1), and quantizing the result again picks
+ *    that element as the BM.
+ * The dense page codec (codec/page_codec.h) stores quantized floats as
+ * blocks and settles both with encodeBlockAt.
  */
 class MxQuantizer
 {
@@ -99,6 +110,15 @@ class MxQuantizer
 
     /** Bit-exact encoding of one block. */
     MxBlock encodeBlock(const float *in, int n) const;
+
+    /**
+     * Encode one block at a given E8M0 scale code, BM slot and MX++ NBM
+     * delta instead of the ones @p in would pick (the BM slot and delta
+     * are ignored in MX mode). encodeBlock() is this call with the
+     * block's own choices, for a block that is not all zero.
+     */
+    MxBlock encodeBlockAt(const float *in, int n, uint8_t scale_code,
+                          int bm_index, uint8_t nbm_delta) const;
 
     /** Decode a block produced by encodeBlock(). */
     void decodeBlock(const MxBlock &block, float *out, int n) const;

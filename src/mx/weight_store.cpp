@@ -7,22 +7,7 @@
 
 namespace mxplus {
 
-namespace {
-
 using kernels::kNR;
-
-/** OR @p code into lane @p lane of a zero-initialized packed row. */
-void
-putCode(uint8_t *row, size_t lane, int bits, uint32_t code)
-{
-    const size_t bit = lane * static_cast<size_t>(bits);
-    const uint32_t v = code << (bit % 8);
-    row[bit / 8] |= static_cast<uint8_t>(v);
-    if (bit % 8 + static_cast<size_t>(bits) > 8)
-        row[bit / 8 + 1] |= static_cast<uint8_t>(v >> 8);
-}
-
-} // namespace
 
 bool
 MxPanelWeight::fits(const MxQuantizer &q, size_t k)
@@ -67,8 +52,8 @@ MxPanelWeight::MxPanelWeight(const MxQuantizer &q, const Matrix &w)
                     blk.bm_index | blk.nbm_delta << 5);
             }
             for (size_t i = 0; i < bs; ++i) {
-                putCode(codes + (b * bs + i) * row_bytes_, lane,
-                        code_bits_, blk.codes[i]);
+                putLaneCode(codes + (b * bs + i) * row_bytes_, lane,
+                            code_bits_, blk.codes[i]);
             }
         }
     }

@@ -82,6 +82,17 @@ class MxPanelWeight
         return (two >> (bit % 8)) & ((1u << bits) - 1u);
     }
 
+    /** OR @p code into lane @p lane of a zero-initialized packed row. */
+    static void
+    putLaneCode(uint8_t *row, size_t lane, int bits, uint32_t code)
+    {
+        const size_t bit = lane * static_cast<size_t>(bits);
+        const uint32_t v = code << (bit % 8);
+        row[bit / 8] |= static_cast<uint8_t>(v);
+        if (bit % 8 + static_cast<size_t>(bits) > 8)
+            row[bit / 8 + 1] |= static_cast<uint8_t>(v >> 8);
+    }
+
   private:
     MxQuantizer q_;
     size_t rows_;

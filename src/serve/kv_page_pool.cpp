@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "codec/page_codec.h"
 #include "common/check.h"
 
 namespace mxplus {
@@ -24,7 +23,7 @@ KvPagePool::KvPagePool(size_t page_tokens, size_t floats_per_page,
 }
 
 void
-KvPagePool::enableCompression(const PageCodec *codec,
+KvPagePool::enableCompression(std::unique_ptr<const PageCodec> codec,
                               const PageRegions &regions)
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -36,7 +35,7 @@ KvPagePool::enableCompression(const PageCodec *codec,
     MXPLUS_CHECK(regions.k_floats > 0 && regions.v_floats > 0 &&
                  regions.k_off + regions.k_floats <= floats_per_page_ &&
                  regions.v_off + regions.v_floats <= floats_per_page_);
-    codec_ = codec;
+    codec_ = std::move(codec);
     regions_ = regions;
     // Compressed pages charge less than a slab, so more than
     // maxPages() of them can be live at once; the charge floor bounds

@@ -63,9 +63,9 @@
 #include <mutex>
 #include <vector>
 
-namespace mxplus {
+#include "codec/page_codec.h"
 
-class PageCodec;
+namespace mxplus {
 
 /** Recycling, refcounting allocator of fixed-size KV page slabs. */
 class KvPagePool
@@ -203,19 +203,19 @@ class KvPagePool
     // ------------------------------------------ frozen-page compression --
 
     /**
-     * Arms compression for this (bounded) pool. Must be called before
-     * the first acquire(); @p codec stays owned by the caller and must
-     * outlive the pool. The capacity ledger switches to bytes:
+     * Arms compression for this (bounded) pool with @p codec, which the
+     * pool owns from then on. Must be called before the first
+     * acquire(). The capacity ledger switches to bytes:
      * budget = maxPages() * pageBytes(), with compressed pages charged
      * by stream size (floored at pageBytes()/kMaxCompressedRatio).
      */
-    void enableCompression(const PageCodec *codec,
+    void enableCompression(std::unique_ptr<const PageCodec> codec,
                            const PageRegions &regions);
     bool compressionEnabled() const { return codec_ != nullptr; }
     /** The regions handed to enableCompression (valid once enabled). */
     const PageRegions &payloadRegions() const { return regions_; }
     /** The codec handed to enableCompression (nullptr when disabled). */
-    const PageCodec *codec() const { return codec_; }
+    const PageCodec *codec() const { return codec_.get(); }
 
     /**
      * Compresses a live frozen page: encodes both payload regions,
@@ -284,7 +284,7 @@ class KvPagePool
     std::atomic<size_t> slab_count_{0};
 
     // Compression state (codec_ == nullptr => everything below idle).
-    const PageCodec *codec_ = nullptr;
+    std::unique_ptr<const PageCodec> codec_;
     PageRegions regions_{};
     size_t slab_limit_ = 0;   ///< slab-table capacity
     size_t budget_bytes_ = 0; ///< byte budget replacing the page budget

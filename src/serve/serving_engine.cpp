@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <thread>
 
 #include "codec/page_codec.h"
 #include "common/check.h"
+#include "mx/mx_quantizer.h"
 
 namespace mxplus {
 
@@ -19,6 +21,26 @@ nowMs()
     return std::chrono::duration<double, std::milli>(
                clock::now().time_since_epoch())
         .count();
+}
+
+/**
+ * The MX quantizer whose blocks a frozen page can hold as they are (the
+ * dense codec, codec/page_codec.h), or null: K and V must share one MX
+ * configuration whose block size divides the head dim (K blocks run
+ * along it) and the page tokens (V blocks run along the sequence).
+ */
+const MxQuantizer *
+densePageQuantizer(const QuantConfig &qc, const ModelConfig &cfg, size_t pt)
+{
+    const TensorQuantizer &kq = qc.qk_override ? *qc.qk_override
+                                               : *qc.attention;
+    const MxQuantizer *k = kq.mxQuantizer();
+    const MxQuantizer *v = qc.attention->mxQuantizer();
+    if (k == nullptr || v == nullptr || k->format() != v->format() ||
+        k->mode() != v->mode() || k->blockSize() != v->blockSize())
+        return nullptr;
+    const size_t bs = static_cast<size_t>(v->blockSize());
+    return cfg.headDim() % bs == 0 && pt % bs == 0 ? v : nullptr;
 }
 
 } // namespace
@@ -172,12 +194,17 @@ ServingEngine::ServingEngine(const Transformer &model, QuantConfig qc,
         budget_pages_ > 0 ? budget_pages_ : hard_cap);
     admit_budget_pages_ = budget_pages_;
     if (opts_.compress_frozen_pages) {
-        codec_ = resolvePageCodec(opts_.page_codec);
-        MXPLUS_CHECK_MSG(codec_ != nullptr,
+        const PageCodec *named = resolvePageCodec(opts_.page_codec);
+        MXPLUS_CHECK_MSG(named != nullptr,
                          "unknown page codec (see EngineOptions::"
                          "validate)");
-        pool_->enableCompression(codec_,
-                                 KvCache::payloadRegions(cfg, pt));
+        const MxQuantizer *dense = densePageQuantizer(qc_, cfg, pt);
+        pool_->enableCompression(
+            dense != nullptr
+                ? makeDenseMxCodec(*dense,
+                                   std::strcmp(named->name(), "simd") == 0)
+                : makePageCodec(named->name()),
+            KvCache::payloadRegions(cfg, pt));
         if (budget_pages_ > 0) {
             // Decode scratch is real memory outside the pool: one
             // region (pt * d_model floats) per concurrent reader —
@@ -542,7 +569,7 @@ ServingEngine::registerFrozenPages(Slot &slot)
             // references and is counted by admission as span pages).
             creditReservation(slot);
             counters_.prefix_inserted_tokens += pt;
-            if (codec_ != nullptr) {
+            if (pool_->compressionEnabled()) {
                 // Compress on publish: the page is frozen (no writer
                 // will ever touch it), insert() already snapshotted
                 // its checksums over the decoded-byte regions, and we

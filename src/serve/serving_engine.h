@@ -298,17 +298,21 @@ struct EngineOptions
      * charged by COMPRESSED bytes — so the same kv_budget_tokens
      * holds more cached prefix state and admission opens a wider
      * window (PrefixIndex::heldPageEquivalents). Readers decode
-     * transparently into per-reader scratch; streams stay bit-exact
-     * in every format (the codec is lossless on IEEE-754 bits, with
-     * a raw fallback for incompressible blocks). Off by default.
+     * transparently into per-reader scratch. When K and V share one MX
+     * configuration whose block size divides the head dim and the
+     * page tokens, pages are stored as that format's blocks (the dense
+     * MX codec); every other quantizer gets the bitpacking codec.
+     * Both are lossless on IEEE-754 bits (a block that does not encode
+     * exactly is stored raw), so streams stay bit-exact in every
+     * format. Off by default.
      */
     bool compress_frozen_pages = false;
     /**
-     * Which PageCodec compresses frozen pages: "auto" (AVX2 decode
-     * when the CPU has it, else scalar), "simd", or "reference".
-     * The MXPLUS_PAGE_CODEC environment variable overrides this.
-     * Encoded streams are byte-identical across codecs — the choice
-     * is decode speed, never representation. Ignored unless
+     * The decode backend of the frozen-page codec: "auto" (AVX2 decode
+     * when the CPU has it, else scalar), "simd", or "reference"
+     * (scalar). The MXPLUS_PAGE_CODEC environment variable overrides
+     * this. Encoded streams are byte-identical across backends — the
+     * choice is decode speed, never representation. Ignored unless
      * compress_frozen_pages is set.
      */
     std::string page_codec = "auto";
@@ -665,8 +669,6 @@ class ServingEngine
     /** Admission window base: budget_pages_ minus the decode-scratch
         headroom compression needs (== budget_pages_ otherwise). */
     size_t admit_budget_pages_ = 0;
-    /** Frozen-page codec (null unless compress_frozen_pages). */
-    const PageCodec *codec_ = nullptr;
     std::unique_ptr<PrefixIndex> prefix_; ///< null when sharing is off
     std::unique_ptr<Scheduler> scheduler_; ///< the policy layer
     /** Decode worker pool (null when num_threads resolves to 1). */

@@ -1617,9 +1617,9 @@ TEST(CompressedPages, PoolCompressesDecodesAndRecyclesPages)
     regions.k_floats = 8;
     regions.v_off = 16;
     regions.v_floats = 8;
-    const PageCodec *codec = pageCodecByName("reference");
+    std::unique_ptr<const PageCodec> codec = makePageCodec("reference");
     ASSERT_NE(codec, nullptr);
-    pool.enableCompression(codec, regions);
+    pool.enableCompression(std::move(codec), regions);
 
     const auto fill = [&](uint32_t id) {
         float *slab = pool.pageData(id);
@@ -1686,15 +1686,17 @@ TEST(CompressedPages, PoolCompressesDecodesAndRecyclesPages)
 TEST(CompressedPages, EngineTokensBitIdenticalWithCompressionOnEveryCodec)
 {
     // The engine-level acceptance gate for the codec path: turning
-    // compress_frozen_pages on — with either codec backend — must not
+    // compress_frozen_pages on — with either decode backend — must not
     // move a single token relative to the plain shared engine, while
     // the retained spans really are compressed (ratio > 1, decodes
-    // happened, live bytes strictly below the uncompressed run).
+    // happened, live bytes strictly below the uncompressed run). MX
+    // formats get the dense codec, BF16 the bitpacker.
     const ModelConfig cfg = tinyConfig();
     const Transformer model(cfg);
     const auto reqs = sharedPrefixRequests(4, 64, 10, 6);
 
-    for (const char *fmt : {"BF16", "MXFP4+", "MXFP8"}) {
+    for (const char *fmt :
+         {"BF16", "MXFP4", "MXFP4+", "MXFP6+", "MXFP8", "MXINT8"}) {
         const QuantConfig qc = QuantConfig::fromFormat(fmt);
         EngineOptions off;
         off.max_batch = 4;
@@ -1723,6 +1725,12 @@ TEST(CompressedPages, EngineTokensBitIdenticalWithCompressionOnEveryCodec)
             }
             const EngineStats es = comp.engineStats();
             EXPECT_GT(es.compressed_ratio, 1.0) << fmt << " " << codec;
+            const bool mx = std::string(fmt) != "BF16";
+            EXPECT_EQ(std::string(comp.pool().codec()->name()),
+                      (mx ? std::string("dense-") : std::string()) + codec);
+            if (std::string(fmt) == "MXFP4+") {
+                EXPECT_GE(es.compressed_ratio, 6.5) << codec;
+            }
             EXPECT_GT(es.codec_decode_calls, 0u) << fmt << " " << codec;
             EXPECT_GT(comp.pool().compressedPages(), 0u)
                 << fmt << " " << codec;

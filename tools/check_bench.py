@@ -33,6 +33,14 @@ compared apples-to-apples:
                         verified bit-identical in-bench.
   bench_kernels_engine: key (op, m, n, k) -> simd_gflops
                         key (api, format, mode) -> simd_gbps
+                        page codec rows, key (api, format, codec):
+                        pageEncode -> gbps, pageDecode -> simd_gbps
+
+Each side of a --pair may name several runs, comma-separated; each
+metric is then compared by its per-side median, over the runs that
+carry it. One --quick run per side cannot tell a 15% regression from
+run-to-run noise on a shared runner: two runs of one commit differed by
+up to 30% on single rows. CI runs three per side, alternating.
 
 Every comparison is expressed as a *goodness ratio* (current/baseline
 for higher-is-better metrics, baseline/current for lower-is-better), so
@@ -69,6 +77,8 @@ Usage:
   tools/check_bench.py --pair current_serving.json:BENCH_serving.json \
                        --pair current_kernels.json:BENCH_kernels.json \
                        [--threshold 0.15] [--absolute]
+  tools/check_bench.py --absolute \
+      --pair pr1.json,pr2.json,pr3.json:base1.json,base2.json,base3.json
 """
 
 import argparse
@@ -230,6 +240,11 @@ def kernels_metrics(doc):
         key = "quantize %s %s %s" % (entry["api"], entry["format"],
                                      entry["mode"])
         yield key, "simd_gbps", float(entry["simd_gbps"]), True
+    for entry in doc.get("page_codec", []):
+        key = "page %s %s %s" % (entry["api"], entry["format"],
+                                 entry["codec"])
+        metric = "gbps" if entry["api"] == "pageEncode" else "simd_gbps"
+        yield key, metric, float(entry[metric]), True
 
 
 def extract(doc):
@@ -253,11 +268,23 @@ def load(path):
         sys.exit(2)
 
 
+def extract_median(paths):
+    """Per-metric median over the runs in a comma-separated path list."""
+    runs = [extract(load(p)) for p in paths.split(",") if p]
+    values = {}
+    for run in runs:
+        for key, (value, hib) in run.items():
+            values.setdefault(key, ([], hib))[0].append(value)
+    return dict((key, (statistics.median(v), hib))
+                for key, (v, hib) in values.items())
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pair", action="append", default=[],
                     metavar="CURRENT:BASELINE", required=True,
-                    help="bench JSON pair; repeatable")
+                    help="bench JSON pair, each side one file or a "
+                         "comma-separated list of runs; repeatable")
     ap.add_argument("--threshold", type=float, default=0.15,
                     help="tolerated fractional drop (default 0.15)")
     ap.add_argument("--absolute", action="store_true",
@@ -273,8 +300,8 @@ def main():
                   file=sys.stderr)
             sys.exit(2)
         cur_path, base_path = pair.split(":", 1)
-        cur = extract(load(cur_path))
-        base = extract(load(base_path))
+        cur = extract_median(cur_path)
+        base = extract_median(base_path)
         matched = sorted(set(cur) & set(base))
         if not matched:
             # A PR that changes the bench workload/config grid produces
