@@ -1,7 +1,6 @@
 #include "codec/page_codec.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "codec/codec_internal.h"
@@ -326,8 +325,6 @@ const PageCodec *
 resolvePageCodec(const std::string &requested)
 {
     std::string name = requested;
-    if (const char *env = std::getenv("MXPLUS_PAGE_CODEC"); env && *env)
-        name = env;
     if (name == "auto")
         name = KernelDispatch::cpuHasAvx2Fma() ? "simd" : "reference";
     return pageCodecByName(name);

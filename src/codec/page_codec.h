@@ -17,10 +17,10 @@
 // layout) intact when compressed pages are read back.
 //
 // The registry follows the pisa codec family pattern: codecs are
-// looked up by name, `MXPLUS_PAGE_CODEC` overrides the request, and
-// "auto" resolves to the AVX2 decoder when the CPU supports it. Both
-// codecs share one scalar encoder so the bitstream is identical
-// across backends; they differ only in how blocks are unpacked.
+// looked up by name, and "auto" resolves to the AVX2 decoder when the
+// CPU supports it. Both codecs share one scalar encoder so the
+// bitstream is identical across backends; they differ only in how
+// blocks are unpacked.
 //
 // Dense MX pages (makeDenseMxCodec)
 // ---------------------------------
@@ -94,9 +94,8 @@ class PageCodec {
 /// Looks up a codec by registry name; nullptr when unknown.
 const PageCodec *pageCodecByName(const std::string &name);
 
-/// Resolves the codec to use: the MXPLUS_PAGE_CODEC environment
-/// variable overrides `requested`; "auto" picks "simd" when the CPU
-/// has AVX2+FMA and "reference" otherwise. Returns nullptr when the
+/// Resolves the codec named `requested`: "auto" picks "simd" when the
+/// CPU has AVX2+FMA and "reference" otherwise. Returns nullptr when the
 /// resulting name is unknown.
 const PageCodec *resolvePageCodec(const std::string &requested);
 

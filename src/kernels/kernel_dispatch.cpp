@@ -200,28 +200,32 @@ KernelDispatch::matvec(KernelBackend backend, const Matrix &w,
 }
 
 void
-KernelDispatch::matvecStrided(const float *w, size_t ldw, size_t n,
-                              size_t k, const float *x, float *y)
+KernelDispatch::gemmNTStrided(const float *a, size_t lda, const float *b,
+                              size_t ldb, float *c, size_t ldc, size_t m,
+                              size_t n, size_t k)
 {
-    matvecStrided(active(), w, ldw, n, k, x, y);
+    gemmNTStrided(active(), a, lda, b, ldb, c, ldc, m, n, k);
 }
 
 void
-KernelDispatch::matvecStrided(KernelBackend backend, const float *w,
-                              size_t ldw, size_t n, size_t k,
-                              const float *x, float *y)
+KernelDispatch::gemmNTStrided(KernelBackend backend, const float *a,
+                              size_t lda, const float *b, size_t ldb, float *c,
+                              size_t ldc, size_t m, size_t n, size_t k)
 {
     if (backend == KernelBackend::Reference) {
         // Same per-output chain as gemmNTReference, stride-aware.
-        for (size_t j = 0; j < n; ++j) {
-            const float *wrow = w + j * ldw;
-            float acc = 0.0f;
-            for (size_t kk = 0; kk < k; ++kk)
-                acc += x[kk] * wrow[kk];
-            y[j] = acc;
+        for (size_t i = 0; i < m; ++i) {
+            const float *arow = a + i * lda;
+            for (size_t j = 0; j < n; ++j) {
+                const float *brow = b + j * ldb;
+                float acc = 0.0f;
+                for (size_t kk = 0; kk < k; ++kk)
+                    acc += arow[kk] * brow[kk];
+                c[i * ldc + j] = acc;
+            }
         }
     } else {
-        kernels::gemmTiled(x, k, w, ldw, y, n, 1, n, k,
+        kernels::gemmTiled(a, lda, b, ldb, c, ldc, m, n, k,
                            /*b_transposed=*/true, simdMicroKernel());
     }
 }

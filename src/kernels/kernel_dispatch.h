@@ -135,10 +135,10 @@ class KernelDispatch
     // ----------------------------------------------------- decode matvec --
 
     /**
-     * y[N] = W[N x K] * x[K]: the single-token linear of the teacher-
-     * mode decode over float weights. Bit-identical to a 1-row gemmNT —
-     * and, by the shape-stability contract (kernels_internal.h), to any
-     * row of a larger gemmNT against the same W — without Matrix
+     * y[N] = W[N x K] * x[K]: the single-token linear of the teacher
+     * sampling recurrence over float weights. Bit-identical to a 1-row
+     * gemmNT — and, by the shape-stability contract (kernels_internal.h),
+     * to any row of a larger gemmNT against the same W — without Matrix
      * temporaries.
      */
     static void matvec(const Matrix &w, const float *x, float *y);
@@ -146,16 +146,18 @@ class KernelDispatch
                        const float *x, float *y);
 
     /**
-     * y[N] = W_view * x[K] where W_view is N rows of length K with row
-     * stride @p ldw: the decode attention's entry point, reading K/V
-     * head slices directly out of the KV cache's persistent storage
-     * (no gather copy). Bit-identical to matvec on a densely gathered W.
+     * C[M x N] = A[M x K] * B[N x K]^T over strided views: row i of A
+     * starts at a + i * lda, row j of B at b + j * ldb and row i of C
+     * at c + i * ldc. The attention's page walk uses it to read key
+     * head slices straight out of KV cache pages (no gather copy).
+     * Bit-identical to gemmNT on densely gathered operands.
      */
-    static void matvecStrided(const float *w, size_t ldw, size_t n,
-                              size_t k, const float *x, float *y);
-    static void matvecStrided(KernelBackend backend, const float *w,
-                              size_t ldw, size_t n, size_t k,
-                              const float *x, float *y);
+    static void gemmNTStrided(const float *a, size_t lda, const float *b,
+                              size_t ldb, float *c, size_t ldc, size_t m,
+                              size_t n, size_t k);
+    static void gemmNTStrided(KernelBackend backend, const float *a,
+                              size_t lda, const float *b, size_t ldb, float *c,
+                              size_t ldc, size_t m, size_t n, size_t k);
 
     // ------------------------------------------------------ elementwise --
 

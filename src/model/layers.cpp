@@ -30,23 +30,27 @@ rmsnorm(const Matrix &x, const std::vector<float> &gain)
 }
 
 void
+softmaxRow(float *row, size_t n)
+{
+    double mx = row[0];
+    for (size_t c = 1; c < n; ++c)
+        mx = std::max(mx, static_cast<double>(row[c]));
+    double sum = 0.0;
+    for (size_t c = 0; c < n; ++c) {
+        const double e = std::exp(static_cast<double>(row[c]) - mx);
+        row[c] = static_cast<float>(e);
+        sum += e;
+    }
+    const double inv = 1.0 / sum;
+    for (size_t c = 0; c < n; ++c)
+        row[c] = static_cast<float>(row[c] * inv);
+}
+
+void
 softmaxRowsInPlace(Matrix &m)
 {
-    for (size_t r = 0; r < m.rows(); ++r) {
-        float *row = m.row(r);
-        double mx = row[0];
-        for (size_t c = 1; c < m.cols(); ++c)
-            mx = std::max(mx, static_cast<double>(row[c]));
-        double sum = 0.0;
-        for (size_t c = 0; c < m.cols(); ++c) {
-            const double e = std::exp(static_cast<double>(row[c]) - mx);
-            row[c] = static_cast<float>(e);
-            sum += e;
-        }
-        const double inv = 1.0 / sum;
-        for (size_t c = 0; c < m.cols(); ++c)
-            row[c] = static_cast<float>(row[c] * inv);
-    }
+    for (size_t r = 0; r < m.rows(); ++r)
+        softmaxRow(m.row(r), m.cols());
 }
 
 Matrix

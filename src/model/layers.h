@@ -18,7 +18,10 @@ namespace mxplus {
 /** RMSNorm with per-channel gain; output rounded to BF16. */
 Matrix rmsnorm(const Matrix &x, const std::vector<float> &gain);
 
-/** Row-wise softmax computed in double precision. */
+/** Softmax of one row of @p n floats in place, in double precision. */
+void softmaxRow(float *row, size_t n);
+
+/** Row-wise softmax computed in double precision (softmaxRow per row). */
 void softmaxRowsInPlace(Matrix &m);
 
 /** SiLU(gate) * up, rounded to BF16 (the SwiGLU nonlinearity). */

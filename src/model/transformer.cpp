@@ -237,75 +237,47 @@ Transformer::attentionBlock(size_t layer, const Matrix &x,
     const Matrix k = applyLinear(linearIndex(layer, kWk), h, qc);
     const Matrix v = applyLinear(linearIndex(layer, kWv), h, qc);
 
-    if (cache != nullptr)
-        cache->appendBatch(layer, k, v);
-    // With a cache, attention runs over the whole history (the rows just
-    // appended included); without one it sees exactly this batch.
-    const size_t kv_len =
-        cache != nullptr ? cache->appendedLength(layer) : t_len;
-    MXPLUS_CHECK(pos0 + t_len == kv_len);
-
     Matrix attn_out(t_len, d);
+    if (cache != nullptr) {
+        // Prefill: the rows just appended attend over the whole cached
+        // history through the same page walk as a decode step.
+        cache->appendBatch(layer, k, v);
+        MXPLUS_CHECK(pos0 + t_len == cache->appendedLength(layer));
+        attendRowsOverCache(layer, q.data(), t_len, *cache, qc,
+                            attn_out.data());
+        return applyLinear(linearIndex(layer, kWo), attn_out, qc);
+    }
+    // Without a cache, attention sees exactly this batch (the original
+    // full-forward behaviour).
+    MXPLUS_CHECK(pos0 == 0);
     const float inv_sqrt_dh =
         1.0f / std::sqrt(static_cast<float>(dh));
     const TensorQuantizer &qk_quant =
         qc.qk_override ? *qc.qk_override : *qc.attention;
 
-    // Whole-layer K/V gathered from the cache ONCE, outside the head
-    // loop: each page is visited (and, when compressed, decoded) once
-    // per layer instead of once per head. The per-head operands below
-    // are pure column/row slices of these, so every head's arithmetic
-    // — and therefore the tokens — is unchanged.
-    Matrix all_k;  // [kv_len x d], quantized K rows
-    Matrix all_vt; // [d x kv_len], quantized seq-major V
-    if (cache != nullptr) {
-        cache->gatherKeys(layer, all_k);
-        cache->gatherValuesT(layer, all_vt);
-    }
-
     for (size_t hd = 0; hd < heads; ++hd) {
         const size_t c0 = hd * dh;
-        // Slice this head's Q ([T x dh], contiguous along head dim so MX
-        // blocks run along the dot-product dimension).
+        // Slice this head's Q and K ([T x dh], contiguous along head dim
+        // so MX blocks run along the dot-product dimension) and V along
+        // the seq dim, and quantize them in place.
         Matrix qh(t_len, dh);
+        Matrix kh(t_len, dh);
+        Matrix vt(dh, t_len);
         for (size_t t = 0; t < t_len; ++t) {
-            for (size_t c = 0; c < dh; ++c)
+            for (size_t c = 0; c < dh; ++c) {
                 qh.at(t, c) = q.at(t, c0 + c);
+                kh.at(t, c) = k.at(t, c0 + c);
+                vt.at(c, t) = v.at(t, c0 + c);
+            }
         }
         const Matrix qhq = qk_quant.quantized(qh);
+        const Matrix khq = qk_quant.quantized(kh);
+        const Matrix vtq = qc.attention->quantized(vt);
 
-        // K along the head dim, V along the seq dim — either gathered
-        // from the quantized cache or quantized in place (one-shot path).
-        Matrix khq; // [kv_len x dh]
-        Matrix vtq; // [dh x kv_len]
-        if (cache != nullptr) {
-            khq = Matrix(kv_len, dh);
-            for (size_t t = 0; t < kv_len; ++t) {
-                for (size_t c = 0; c < dh; ++c)
-                    khq.at(t, c) = all_k.at(t, c0 + c);
-            }
-            vtq = Matrix(dh, kv_len);
-            for (size_t c = 0; c < dh; ++c) {
-                for (size_t t = 0; t < kv_len; ++t)
-                    vtq.at(c, t) = all_vt.at(c0 + c, t);
-            }
-        } else {
-            Matrix kh(t_len, dh);
-            Matrix vt(dh, t_len);
-            for (size_t t = 0; t < t_len; ++t) {
-                for (size_t c = 0; c < dh; ++c) {
-                    kh.at(t, c) = k.at(t, c0 + c);
-                    vt.at(c, t) = v.at(t, c0 + c);
-                }
-            }
-            khq = qk_quant.quantized(kh);
-            vtq = qc.attention->quantized(vt);
-        }
-
-        Matrix scores = matmulNT(qhq, khq); // [T x kv_len]
+        Matrix scores = matmulNT(qhq, khq); // [T x T]
         for (size_t i = 0; i < t_len; ++i) {
-            for (size_t j = 0; j < kv_len; ++j) {
-                if (j > pos0 + i)
+            for (size_t j = 0; j < t_len; ++j) {
+                if (j > i)
                     scores.at(i, j) = -1e30f; // causal mask
                 else
                     scores.at(i, j) *= inv_sqrt_dh;
@@ -326,11 +298,11 @@ Transformer::attentionBlock(size_t layer, const Matrix &x,
 }
 
 void
-Transformer::attendRowOverCache(size_t layer, const float *q_row,
-                                const KvCache &cache,
-                                const QuantConfig &qc,
-                                float *out_row) const
+Transformer::attendRowsOverCache(size_t layer, const float *q, size_t rows,
+                                 const KvCache &cache,
+                                 const QuantConfig &qc, float *out) const
 {
+    const size_t d = cfg_.d_model;
     const size_t heads = cfg_.n_heads;
     const size_t dh = cfg_.headDim();
     const float inv_sqrt_dh =
@@ -339,96 +311,85 @@ Transformer::attendRowOverCache(size_t layer, const float *q_row,
         qc.qk_override ? *qc.qk_override : *qc.attention;
     const size_t len = cache.appendedLength(layer);
     const size_t pt = cache.pageTokens();
+    MXPLUS_CHECK(rows > 0 && rows <= len);
+    const size_t pos0 = len - rows;
 
-    // Paged attention: scores are computed per page with strided
-    // matvecs straight out of the page slabs (each score is one dot
-    // product over dh, independent of every other row, so the page walk
-    // is bit-identical to a contiguous cache). The P·V reduction runs
-    // over the whole sequence, so its head slice is gathered from the
-    // pages into one dense operand first — splitting that reduction at
-    // page boundaries would change the accumulation order and break the
-    // bit-parity contract with the full-sequence GEMM. The page table
-    // may mix refcounted shared prefix pages with private tail pages
-    // (prefix sharing); both are read through the same pageData views,
-    // so sharing changes which slab an address resolves to, never the
-    // arithmetic.
-    // The walk is PAGE-OUTER, heads inner: with compressed shared
-    // pages each page region decodes once per token instead of once
-    // per head (the decode scratch caches a single page). Every score
-    // and every head's reduction is independent, so interchanging the
-    // head and page loops leaves each head's arithmetic — operands,
-    // order, accumulators — exactly as in the head-outer original.
-    const size_t d = cfg_.d_model;
-    std::vector<float> qhq(heads * dh);
-    std::vector<float> scores(heads * len);
-    std::vector<float> pq(len);
-    // Gather scratch for the multi-page P·V case only; while the
-    // sequence fits one page the matvec reads the page slab directly.
-    std::vector<float> vhead;
-    if (len > pt)
-        vhead.resize(d * len);
-
+    // Each head's Q rows, quantized as one [rows x dh] operand along the
+    // head dim (exactly what the cacheless forward quantizes).
+    std::vector<float> qh(rows * dh);
+    std::vector<float> qhq(heads * rows * dh);
     for (size_t hd = 0; hd < heads; ++hd) {
-        qk_quant.quantizeRows(q_row + hd * dh, qhq.data() + hd * dh, 1,
+        for (size_t t = 0; t < rows; ++t) {
+            const float *src = q + t * d + hd * dh;
+            std::copy(src, src + dh, qh.data() + t * dh);
+        }
+        qk_quant.quantizeRows(qh.data(), qhq.data() + hd * rows * dh, rows,
                               dh);
     }
+
+    // Paged attention. Every score is one dot product over dh, so Q·K^T
+    // computed page by page straight out of the page views is
+    // bit-identical to one GEMM over a contiguous cache (the kernel
+    // engine's shape-stability contract). The walk is pages outer,
+    // heads inner, so each page region is read (and, when compressed,
+    // decoded) once per call. The page table may mix refcounted shared
+    // prefix pages with private tail pages; both are read through the
+    // same views, so sharing changes which slab an address resolves
+    // to, never the arithmetic.
+    std::vector<float> scores(heads * rows * len); // per head [rows x len]
     for (size_t p = 0, pos = 0; pos < len; ++p, pos += pt) {
         const size_t n = std::min(pt, len - pos);
         const float *kpage = cache.keyPageData(layer, p);
         for (size_t hd = 0; hd < heads; ++hd) {
-            KernelDispatch::matvecStrided(
-                kpage + hd * dh, cache.keyRowStride(), n, dh,
-                qhq.data() + hd * dh, scores.data() + hd * len + pos);
+            KernelDispatch::gemmNTStrided(
+                qhq.data() + hd * rows * dh, dh, kpage + hd * dh,
+                cache.keyRowStride(), scores.data() + hd * rows * len + pos,
+                len, rows, n, dh);
         }
     }
-    if (len > pt) {
-        // One page walk gathers EVERY head's V channels (the per-head
-        // matvec below slices by channel offset).
+
+    // P·V reduces over the whole sequence, and splitting it at page
+    // boundaries would change the accumulation order. So V is gathered
+    // once, every head's channels together, into [d x len] rows; a
+    // single page is read in place instead (row stride pageTokens()).
+    const float *v = nullptr;
+    size_t ldv = len;
+    std::vector<float> vgather;
+    if (len <= pt) {
+        v = cache.valuePageData(layer, 0);
+        ldv = cache.valuePageRowStride();
+    } else {
+        vgather.resize(d * len);
         for (size_t p = 0, pos = 0; pos < len; ++p, pos += pt) {
             const size_t n = std::min(pt, len - pos);
             const float *vq = cache.valuePageData(layer, p);
             for (size_t c = 0; c < d; ++c) {
                 std::copy(vq + c * pt, vq + c * pt + n,
-                          vhead.data() + c * len + pos);
+                          vgather.data() + c * len + pos);
             }
         }
+        v = vgather.data();
     }
 
+    // Per head: causal mask and scale, FP64 softmax (paper baseline), P
+    // quantized along the sequence, and P·V into the head's output
+    // columns. One [rows x len] P buffer serves every head.
+    std::vector<float> pq(rows * len);
     for (size_t hd = 0; hd < heads; ++hd) {
-        const size_t c0 = hd * dh;
-        float *sc = scores.data() + hd * len;
-        // The row sits at the last position, so every cached entry is
-        // visible: scale only, no causal mask needed. Softmax is the
-        // one-row transcription of softmaxRowsInPlace (FP64, paper
-        // baseline).
-        for (size_t j = 0; j < len; ++j)
-            sc[j] *= inv_sqrt_dh;
-        double mx = sc[0];
-        for (size_t j = 1; j < len; ++j)
-            mx = std::max(mx, static_cast<double>(sc[j]));
-        double sum = 0.0;
-        for (size_t j = 0; j < len; ++j) {
-            const double e = std::exp(static_cast<double>(sc[j]) - mx);
-            sc[j] = static_cast<float>(e);
-            sum += e;
+        float *sc = scores.data() + hd * rows * len;
+        for (size_t t = 0; t < rows; ++t) {
+            float *row = sc + t * len;
+            for (size_t j = 0; j < len; ++j) {
+                if (j > pos0 + t)
+                    row[j] = -1e30f; // causal mask
+                else
+                    row[j] *= inv_sqrt_dh;
+            }
+            softmaxRow(row, len);
         }
-        const double inv = 1.0 / sum;
-        for (size_t j = 0; j < len; ++j)
-            sc[j] = static_cast<float>(sc[j] * inv);
-
-        qc.attention->quantizeRows(sc, pq.data(), 1, len);
-        if (len <= pt) {
-            // Single page: the head's V rows are contiguous in the
-            // slab with row stride pageTokens() — zero-copy, exactly
-            // the old contiguous-cache operand.
-            KernelDispatch::matvecStrided(
-                cache.valuePageData(layer, 0) + c0 * pt, pt, dh, len,
-                pq.data(), out_row + c0);
-        } else {
-            KernelDispatch::matvecStrided(vhead.data() + c0 * len, len,
-                                          dh, len, pq.data(),
-                                          out_row + c0);
-        }
+        qc.attention->quantizeRows(sc, pq.data(), rows, len);
+        KernelDispatch::gemmNTStrided(pq.data(), len, v + hd * dh * ldv, ldv,
+                                      out + hd * dh, d, rows, dh, len);
     }
 }
 
@@ -482,16 +443,6 @@ Transformer::prefill(const std::vector<int> &tokens, KvCache &cache,
                      const QuantConfig &qc) const
 {
     MXPLUS_CHECK(!tokens.empty());
-    if (cache.isTeacher()) {
-        // Teacher prefill consumes the prompt token-at-a-time through the
-        // original sampling recurrence.
-        Matrix logits(tokens.size(), cfg_.vocab);
-        for (size_t t = 0; t < tokens.size(); ++t) {
-            const Matrix row = teacherDecodeStep(tokens[t], cache);
-            std::copy(row.data(), row.data() + cfg_.vocab, logits.row(t));
-        }
-        return logits;
-    }
     const size_t pos0 = cache.length();
     Matrix logits = runLayers(embedAt(tokens, pos0), qc, &cache, pos0);
     cache.commit(tokens.size());
@@ -502,18 +453,8 @@ Matrix
 Transformer::decodeStep(int token, KvCache &cache,
                         const QuantConfig &qc) const
 {
-    MXPLUS_CHECK_MSG(!cache.isTeacher(),
-                     "quantized decodeStep needs a forConfig cache");
     std::vector<KvCache *> caches{&cache};
     return decodeStepBatch({token}, caches, qc);
-}
-
-Matrix
-Transformer::decodeStep(int token, KvCache &cache) const
-{
-    MXPLUS_CHECK_MSG(cache.isTeacher(),
-                     "teacher decodeStep needs a teacher cache");
-    return teacherDecodeStep(token, cache);
 }
 
 Matrix
@@ -528,7 +469,7 @@ Transformer::decodeStepBatch(const std::vector<int> &tokens,
 
     Matrix x(b, d);
     for (size_t r = 0; r < b; ++r) {
-        MXPLUS_CHECK(caches[r] != nullptr && !caches[r]->isTeacher());
+        MXPLUS_CHECK(caches[r] != nullptr);
         const size_t pos = caches[r]->length();
         MXPLUS_CHECK(pos < cfg_.max_seq);
         const int tok = tokens[r];
@@ -562,15 +503,15 @@ Transformer::decodeStepBatch(const std::vector<int> &tokens,
         if (workers != nullptr && workers->threads() > 1 && b > 1) {
             workers->parallelFor(b, [&](size_t r) {
                 caches[r]->append(layer, k.row(r), v.row(r));
-                attendRowOverCache(layer, q.row(r), *caches[r], qc,
-                                   attn_out.row(r));
+                attendRowsOverCache(layer, q.row(r), 1, *caches[r], qc,
+                                    attn_out.row(r));
             });
         } else {
             #pragma omp parallel for schedule(static) if (b > 1)
             for (size_t r = 0; r < b; ++r) {
                 caches[r]->append(layer, k.row(r), v.row(r));
-                attendRowOverCache(layer, q.row(r), *caches[r], qc,
-                                   attn_out.row(r));
+                attendRowsOverCache(layer, q.row(r), 1, *caches[r], qc,
+                                    attn_out.row(r));
             }
         }
         const Matrix o =
@@ -593,14 +534,15 @@ Transformer::decodeStepBatch(const std::vector<int> &tokens,
 }
 
 Matrix
-Transformer::teacherDecodeStep(int token, KvCache &cache) const
+Transformer::teacherDecodeStep(int token, size_t pos,
+                               std::vector<std::vector<float>> &keys,
+                               std::vector<std::vector<float>> &values) const
 {
     const size_t d = cfg_.d_model;
     const size_t heads = cfg_.n_heads;
     const size_t dh = cfg_.headDim();
     const float inv_sqrt_dh =
         1.0f / std::sqrt(static_cast<float>(dh));
-    const size_t pos = cache.length();
     MXPLUS_CHECK(pos < cfg_.max_seq);
     MXPLUS_CHECK(token >= 0 && static_cast<size_t>(token) < cfg_.vocab);
 
@@ -615,16 +557,17 @@ Transformer::teacherDecodeStep(int token, KvCache &cache) const
         const auto qv = matvec(lw.wq, h);
         const auto kv = matvec(lw.wk, h);
         const auto vv = matvec(lw.wv, h);
-        cache.append(layer, kv.data(), vv.data());
+        keys[layer].insert(keys[layer].end(), kv.begin(), kv.end());
+        values[layer].insert(values[layer].end(), vv.begin(), vv.end());
 
         std::vector<float> attn_out(d, 0.0f);
-        const size_t t_len = cache.appendedLength(layer);
+        const size_t t_len = pos + 1;
         for (size_t hd = 0; hd < heads; ++hd) {
             const size_t c0 = hd * dh;
             std::vector<double> scores(t_len);
             double mx = -1e300;
             for (size_t s = 0; s < t_len; ++s) {
-                const float *krow = cache.rawKeyRow(layer, s);
+                const float *krow = keys[layer].data() + s * d;
                 double dot = 0.0;
                 for (size_t c = 0; c < dh; ++c) {
                     dot += static_cast<double>(qv[c0 + c]) *
@@ -640,7 +583,7 @@ Transformer::teacherDecodeStep(int token, KvCache &cache) const
             }
             for (size_t s = 0; s < t_len; ++s) {
                 const double p = scores[s] / z;
-                const float *vrow = cache.rawValueRow(layer, s);
+                const float *vrow = values[layer].data() + s * d;
                 for (size_t c = 0; c < dh; ++c) {
                     attn_out[c0 + c] += static_cast<float>(
                         p * vrow[c0 + c]);
@@ -667,7 +610,6 @@ Transformer::teacherDecodeStep(int token, KvCache &cache) const
     const auto hf = rmsnormVec(x, final_gain_);
     Matrix logits(1, cfg_.vocab);
     KernelDispatch::matvec(head_, hf.data(), logits.data());
-    cache.commit(1);
     return logits;
 }
 
@@ -712,16 +654,17 @@ Transformer::sample(Rng &rng, size_t length, double temperature,
     if (tokens.empty())
         tokens.push_back(static_cast<int>(rng.uniformInt(cfg_.vocab)));
 
-    // Teacher-mode cache: raw float K/V, the BF16/FP32 teacher protocol.
-    KvCache cache = KvCache::teacher(cfg_, prefix.size() + length + 1);
-
     const size_t target =
         prefix.size() + length + (prefix.empty() ? 1 : 0);
-    while (tokens.size() < target && cache.length() < cfg_.max_seq) {
-        const bool warming = cache.length() + 1 < tokens.size();
+    // Raw FP32 K/V rows of every position so far, per layer: the
+    // BF16/FP32 teacher protocol attends over unquantized history.
+    std::vector<std::vector<float>> keys(cfg_.n_layers);
+    std::vector<std::vector<float>> values(cfg_.n_layers);
+    for (size_t pos = 0; tokens.size() < target && pos < cfg_.max_seq;
+         ++pos) {
         const Matrix logits =
-            decodeStep(tokens[cache.length()], cache);
-        if (warming)
+            teacherDecodeStep(tokens[pos], pos, keys, values);
+        if (pos + 1 < tokens.size())
             continue; // still consuming the prefix
         tokens.push_back(
             sampleLogits(logits.data(), cfg_.vocab, temperature, rng));

@@ -24,16 +24,18 @@
  *    (KvCache::adoptSharedPage) prefills only the unshared tail and
  *    still produces bit-identical logits — the positions, token ids
  *    and quantized K/V of the shared prefix are exactly what a private
- *    prefill would have written. decodeStep attends over the cached
- *    quantized K/V instead of recomputing the sequence, walking shared
+ *    prefill would have written. Prefill and decode read the cache
+ *    through one page walk (attendRowsOverCache: T query rows at the
+ *    end of the history, T = 1 for a decode step) that walks shared
  *    prefix pages and private tail pages through one uniform page
- *    table (attendRowOverCache never distinguishes them): in
+ *    table and never distinguishes them. A decode step attends over
+ *    the cached quantized K/V instead of recomputing the sequence: in
  *    BF16 it reproduces forward() bit-exactly (the kernel engine's
  *    shape-stability contract); under MX-family formats it differs only
  *    where a future value would have raised a V block maximum, i.e. by
  *    the inherent causality gap of a quantized KV cache.
- *  - The teacher path (a KvCache in teacher mode) reproduces the original
- *    float/double sampling loop bit-exactly; sample() runs on it, so
+ *  - sample() runs the original float/double teacher recurrence
+ *    bit-exactly over its own raw FP32 K/V history (no KvCache), so
  *    teacher datasets are stable across the serving refactor.
  *
  * Weights are quantized once per MX weight configuration: the first pass
@@ -106,12 +108,6 @@ class Transformer
                       const QuantConfig &qc) const;
 
     /**
-     * One teacher-mode decode step (raw-float cache): the BF16 teacher
-     * sampling recurrence, bit-identical to the original sample() loop.
-     */
-    Matrix decodeStep(int token, KvCache &cache) const;
-
-    /**
      * One decode step for @p tokens.size() independent requests, batched
      * across the linear layers (one GEMM over all request rows — the
      * serving engine's throughput lever). Row r of the result is
@@ -134,7 +130,7 @@ class Transformer
     /**
      * Autoregressively sample @p length tokens from the BF16 model (the
      * teacher-data protocol), optionally continuing @p prefix.
-     * Runs on a teacher-mode KvCache; temperature scales the logits.
+     * Attends over raw FP32 K/V; temperature scales the logits.
      */
     std::vector<int> sample(Rng &rng, size_t length, double temperature,
                             const std::vector<int> &prefix = {}) const;
@@ -246,12 +242,23 @@ class Transformer
     /** Shared layer loop + LM head for forward/prefill. */
     Matrix runLayers(Matrix x, const QuantConfig &qc, KvCache *cache,
                      size_t pos0) const;
-    /** Single-row attention over a quantized cache (decode path). */
-    void attendRowOverCache(size_t layer, const float *q_row,
-                            const KvCache &cache, const QuantConfig &qc,
-                            float *out_row) const;
-    /** The original float/double teacher recurrence (sample()). */
-    Matrix teacherDecodeStep(int token, KvCache &cache) const;
+    /**
+     * Causal attention of @p rows query rows (@p q, [rows x d_model])
+     * at positions [len - rows, len) over the layer's cached history of
+     * len tokens, written to @p out ([rows x d_model]): prefill's chunk
+     * and decode's single row run this one page walk.
+     */
+    void attendRowsOverCache(size_t layer, const float *q, size_t rows,
+                             const KvCache &cache, const QuantConfig &qc,
+                             float *out) const;
+    /**
+     * The original float/double teacher recurrence (sample()) for
+     * @p token at @p pos; appends its raw K/V rows to the per-layer
+     * @p keys / @p values history (d_model floats per position).
+     */
+    Matrix teacherDecodeStep(int token, size_t pos,
+                             std::vector<std::vector<float>> &keys,
+                             std::vector<std::vector<float>> &values) const;
 
     ModelConfig cfg_;
     Matrix embedding_;  ///< [vocab x d]

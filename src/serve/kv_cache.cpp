@@ -23,12 +23,10 @@ KvCache::pageTokensFor(const TensorQuantizer *v_quant)
 }
 
 size_t
-KvCache::floatsPerPage(const ModelConfig &cfg, bool teacher,
-                       size_t page_tokens)
+KvCache::floatsPerPage(const ModelConfig &cfg, size_t page_tokens)
 {
-    // Teacher pages hold raw K + raw V rows; quantized pages hold
-    // quantized K plus the raw and quantized seq-major V copies.
-    return (teacher ? 2 : 3) * page_tokens * cfg.d_model;
+    // Quantized K plus the raw and quantized seq-major V copies.
+    return 3 * page_tokens * cfg.d_model;
 }
 
 KvPagePool::PageRegions
@@ -51,25 +49,21 @@ KvCache::KvCache(const ModelConfig &cfg, QuantizerPtr k_quant,
       pool_(std::move(pool)), appended_(cfg.n_layers, 0),
       pages_(cfg.n_layers)
 {
-    MXPLUS_CHECK_MSG((k_quant_ == nullptr) == (v_quant_ == nullptr),
-                     "KvCache: both quantizers or neither (teacher mode)");
+    MXPLUS_CHECK_MSG(k_quant_ != nullptr && v_quant_ != nullptr,
+                     "KvCache: needs a key and a value quantizer");
     if (pool_ == nullptr) {
         // Private unbounded pool with the default geometry.
         const size_t pt = pageTokensFor(v_quant_.get());
-        pool_ = std::make_shared<KvPagePool>(
-            pt, floatsPerPage(cfg, isTeacher(), pt), /*max_pages=*/0);
+        pool_ = std::make_shared<KvPagePool>(pt, floatsPerPage(cfg, pt),
+                                             /*max_pages=*/0);
     }
     pt_ = pool_->pageTokens();
-    MXPLUS_CHECK_MSG(pool_->floatsPerPage() ==
-                         floatsPerPage(cfg, isTeacher(), pt_),
-                     "KvCache: pool slab size does not match this "
-                     "model/mode");
-    if (!isTeacher()) {
-        const size_t period = v_quant_->blockPeriod();
-        MXPLUS_CHECK_MSG(period == 0 || pt_ % period == 0,
-                         "KvCache: page size must be a multiple of the "
-                         "value quantizer's block period");
-    }
+    MXPLUS_CHECK_MSG(pool_->floatsPerPage() == floatsPerPage(cfg, pt_),
+                     "KvCache: pool slab size does not match this model");
+    const size_t period = v_quant_->blockPeriod();
+    MXPLUS_CHECK_MSG(period == 0 || pt_ % period == 0,
+                     "KvCache: page size must be a multiple of the "
+                     "value quantizer's block period");
     const size_t hint_pages = (capacity_hint + pt_ - 1) / pt_;
     for (auto &table : pages_)
         table.reserve(hint_pages);
@@ -93,12 +87,6 @@ KvCache::forConfig(const ModelConfig &cfg, const QuantConfig &qc,
                      "KvCache::forConfig needs an attention quantizer");
     const QuantizerPtr k = qc.qk_override ? qc.qk_override : qc.attention;
     return KvCache(cfg, k, qc.attention, capacity_hint, std::move(pool));
-}
-
-KvCache
-KvCache::teacher(const ModelConfig &cfg, size_t capacity_hint)
-{
-    return KvCache(cfg, nullptr, nullptr, capacity_hint);
 }
 
 size_t
@@ -148,13 +136,6 @@ KvCache::slab(size_t layer, size_t page)
     return pool_->pageData(pages_[layer][page]);
 }
 
-const float *
-KvCache::slab(size_t layer, size_t page) const
-{
-    MXPLUS_CHECK(layer < n_layers_ && page < pages_[layer].size());
-    return pool_->pageData(pages_[layer][page]);
-}
-
 void
 KvCache::append(size_t layer, const float *k_row, const float *v_row)
 {
@@ -169,13 +150,6 @@ KvCache::append(size_t layer, const float *k_row, const float *v_row)
                      "KvCache: sequence exceeds the model's max_seq");
     float *page = slabFor(layer, pos0);
     const size_t row = pos0 % pt_;
-
-    if (isTeacher()) {
-        std::copy(k_row, k_row + d_, page + kOff() + row * d_);
-        std::copy(v_row, v_row + d_, page + vRawOff() + row * d_);
-        appended_[layer] = pos0 + 1;
-        return;
-    }
 
     float *kq_row = page + kOff() + row * d_;
     for (size_t h = 0; h < heads_; ++h) {
@@ -246,18 +220,6 @@ KvCache::appendBatch(size_t layer, const Matrix &k, const Matrix &v)
                      "KvCache: sequence exceeds the model's max_seq");
     const size_t new_len = pos0 + t;
 
-    if (isTeacher()) {
-        for (size_t r = 0; r < t; ++r) {
-            float *page = slabFor(layer, pos0 + r);
-            const size_t row = (pos0 + r) % pt_;
-            std::copy(k.row(r), k.row(r) + d_, page + kOff() + row * d_);
-            std::copy(v.row(r), v.row(r) + d_,
-                      page + vRawOff() + row * d_);
-        }
-        appended_[layer] = new_len;
-        return;
-    }
-
     // Keys: quantize each token row per head along the head dimension —
     // the same [rows x head_dim] operand shape the full-sequence
     // attention feeds the quantizer, gathered head-contiguous.
@@ -302,8 +264,6 @@ KvCache::pageId(size_t layer, size_t page) const
 void
 KvCache::adoptSharedPage(const uint32_t *page_ids)
 {
-    MXPLUS_CHECK_MSG(!isTeacher(),
-                     "KvCache: prefix sharing is a quantized-mode path");
     // Frozen-page precondition: a completed page only holds frozen V
     // blocks when the block period divides the page size AND block
     // structure is known at all; unknown-structure quantizers requant
@@ -361,9 +321,6 @@ KvCache::releaseForPreemption()
     }
     std::fill(appended_.begin(), appended_.end(), 0);
     len_ = 0;
-    // The released pages may be recycled to new contents; the decode
-    // scratch is keyed by page id, so drop it with the mappings.
-    dscratch_.reset();
 }
 
 void
@@ -389,7 +346,7 @@ KvCache::regionView(size_t layer, size_t page,
         const KvPagePool &pool = *pool_;
         return pool.pageData(id) + off;
     }
-    const float *ptr = pool_->pageRegion(id, region, dscratch_);
+    const float *ptr = pool_->pageRegion(id, region, region_buf_);
     MXPLUS_CHECK_MSG(ptr != nullptr,
                      "KvCache: compressed page failed to decode — an "
                      "active request's stream must never be corrupt");
@@ -399,64 +356,13 @@ KvCache::regionView(size_t layer, size_t page,
 const float *
 KvCache::keyPageData(size_t layer, size_t page) const
 {
-    MXPLUS_CHECK(!isTeacher());
     return regionView(layer, page, KvPagePool::PageRegion::kKey);
 }
 
 const float *
 KvCache::valuePageData(size_t layer, size_t page) const
 {
-    MXPLUS_CHECK(!isTeacher());
     return regionView(layer, page, KvPagePool::PageRegion::kValue);
-}
-
-void
-KvCache::gatherKeys(size_t layer, Matrix &out) const
-{
-    MXPLUS_CHECK(!isTeacher());
-    MXPLUS_CHECK(layer < n_layers_);
-    const size_t len = appended_[layer];
-    out = Matrix(len, d_);
-    for (size_t p = 0, pos = 0; pos < len; ++p, pos += pt_) {
-        const size_t n = std::min(pt_, len - pos);
-        const float *kq =
-            regionView(layer, p, KvPagePool::PageRegion::kKey);
-        for (size_t r = 0; r < n; ++r)
-            std::copy(kq + r * d_, kq + (r + 1) * d_, out.row(pos + r));
-    }
-}
-
-void
-KvCache::gatherValuesT(size_t layer, Matrix &out) const
-{
-    MXPLUS_CHECK(!isTeacher());
-    MXPLUS_CHECK(layer < n_layers_);
-    const size_t len = appended_[layer];
-    out = Matrix(d_, len);
-    for (size_t p = 0, pos = 0; pos < len; ++p, pos += pt_) {
-        const size_t n = std::min(pt_, len - pos);
-        const float *vq =
-            regionView(layer, p, KvPagePool::PageRegion::kValue);
-        for (size_t c = 0; c < d_; ++c) {
-            std::copy(vq + c * pt_, vq + c * pt_ + n, out.row(c) + pos);
-        }
-    }
-}
-
-const float *
-KvCache::rawKeyRow(size_t layer, size_t pos) const
-{
-    MXPLUS_CHECK(isTeacher());
-    MXPLUS_CHECK(layer < n_layers_ && pos < appended_[layer]);
-    return slab(layer, pos / pt_) + kOff() + (pos % pt_) * d_;
-}
-
-const float *
-KvCache::rawValueRow(size_t layer, size_t pos) const
-{
-    MXPLUS_CHECK(isTeacher());
-    MXPLUS_CHECK(layer < n_layers_ && pos < appended_[layer]);
-    return slab(layer, pos / pt_) + vRawOff() + (pos % pt_) * d_;
 }
 
 } // namespace mxplus

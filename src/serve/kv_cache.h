@@ -55,9 +55,6 @@
  * reference per mapped page and the pool reclaims a page when its last
  * owner — request cache or the engine's prefix index — lets go.
  *
- * A cache constructed with null quantizers runs in "teacher" mode: raw
- * FP32 K/V rows, used by the BF16 teacher sampling path (sample()).
- *
  * Appends are two-phase: each layer appends its K/V rows as the step
  * reaches it, and commit() advances the global length once all layers
  * have. The cache is not thread-safe; the serving engine gives each
@@ -79,13 +76,12 @@
 
 namespace mxplus {
 
-/** Paged, quantized (or raw teacher-mode) per-request K/V store. */
+/** Paged, quantized per-request K/V store. */
 class KvCache
 {
   public:
     /**
-     * @param k_quant quantizer for keys (head-dim blocks); null with
-     *        null @p v_quant selects teacher mode
+     * @param k_quant quantizer for keys (head-dim blocks)
      * @param v_quant quantizer for values (seq-dim blocks)
      * @param capacity_hint expected token count (reserves page-table
      *        slots only; pages themselves are acquired as tokens land)
@@ -113,10 +109,6 @@ class KvCache
                              size_t capacity_hint = 0,
                              std::shared_ptr<KvPagePool> pool = nullptr);
 
-    /** Raw-FP32 cache for the BF16 teacher decode loop (sample()). */
-    static KvCache teacher(const ModelConfig &cfg,
-                           size_t capacity_hint = 0);
-
     /**
      * Default page size for a value quantizer: 32 tokens, rounded up to
      * a multiple of the quantizer's block period so frozen V blocks
@@ -124,9 +116,8 @@ class KvCache
      */
     static size_t pageTokensFor(const TensorQuantizer *v_quant);
 
-    /** Pool slab size for this model/mode at a given page size. */
-    static size_t floatsPerPage(const ModelConfig &cfg, bool teacher,
-                                size_t page_tokens);
+    /** Pool slab size for this model at a given page size. */
+    static size_t floatsPerPage(const ModelConfig &cfg, size_t page_tokens);
 
     /**
      * The payload regions of a quantized page that survive freezing —
@@ -150,8 +141,6 @@ class KvCache
 
     /** Position table limit of the underlying model. */
     size_t maxSeq() const { return max_seq_; }
-
-    bool isTeacher() const { return k_quant_ == nullptr; }
 
     /** Tokens per page (fixed by the pool). */
     size_t pageTokens() const { return pt_; }
@@ -216,26 +205,27 @@ class KvCache
      * reference on each page. The pages must hold exactly the K/V this
      * cache would have produced for those pageTokens() positions — the
      * engine's prefix index guarantees that by keying spans on the
-     * exact token ids — and must never be written again (quantized
-     * mode with a positive value block period guarantees *that*).
+     * exact token ids — and must never be written again (a positive
+     * value block period guarantees *that*).
      * Advances length() by pageTokens().
      * @param page_ids one pool page id per layer
      */
     void adoptSharedPage(const uint32_t *page_ids);
 
-    // ---------------------------------------------- quantized-mode views --
+    // ------------------------------------------------------- page views --
 
     /**
      * View of one page of quantized keys: rows of d_model floats with
      * row stride keyRowStride(), covering positions
      * [page * pageTokens(), ...); head h's slice starts at column
-     * h * head_dim. The decode attention walks the page table and feeds
-     * each page to KernelDispatch::matvecStrided — every score is the
-     * same dot product a contiguous cache would compute. Uncompressed
-     * pages are zero-copy slab views; a compressed frozen page is
-     * transparently decoded (bit-exact) into this cache's scratch, so
-     * the pointer is only stable until the next compressed-page view
-     * through this cache.
+     * h * head_dim. The attention's page walk (prefill and decode)
+     * reads each page's head slices in place through
+     * KernelDispatch::gemmNTStrided — every score is the same dot
+     * product a contiguous cache would compute. Uncompressed pages are
+     * zero-copy slab views; a compressed frozen page is decoded
+     * (bit-exact) into this cache's buffer on every call, so the
+     * pointer is only stable until the next view of a compressed page
+     * through this cache, and a walk reads each region once.
      */
     const float *keyPageData(size_t layer, size_t page) const;
     size_t keyRowStride() const { return d_; }
@@ -249,44 +239,23 @@ class KvCache
     const float *valuePageData(size_t layer, size_t page) const;
     size_t valuePageRowStride() const { return pt_; }
 
-    /**
-     * Copy the whole layer's quantized keys into @p out as
-     * [len x d_model]. The prefill attention gathers once per layer and
-     * slices per head, so a compressed page is decoded once instead of
-     * once per head.
-     */
-    void gatherKeys(size_t layer, Matrix &out) const;
-
-    /**
-     * Copy the whole layer's quantized values into @p out as
-     * [d_model x len] (sequence-major, the P·V right-hand operand
-     * sliced per head); same single-decode rationale as gatherKeys.
-     */
-    void gatherValuesT(size_t layer, Matrix &out) const;
-
-    // ------------------------------------------------ teacher-mode views --
-
-    const float *rawKeyRow(size_t layer, size_t pos) const;
-    const float *rawValueRow(size_t layer, size_t pos) const;
-
   private:
     /** Slab of the page covering @p pos, acquiring it if new. */
     float *slabFor(size_t layer, size_t pos);
     float *slab(size_t layer, size_t page);
-    const float *slab(size_t layer, size_t page) const;
     /**
      * Read view of a payload region: direct slab pointer, or the
-     * decoded scratch when the page is compressed (CHECK-fails if the
-     * stream will not decode — an active request's pages are never
-     * corrupted by the fault sites, which only target idle spans).
+     * region decoded into region_buf_ when the page is compressed
+     * (CHECK-fails if the stream will not decode — an active request's
+     * pages are never corrupted by the fault sites, which only target
+     * idle spans).
      */
     const float *regionView(size_t layer, size_t page,
                             KvPagePool::PageRegion region) const;
     void requantizeValueTail(size_t layer, size_t old_len,
                              size_t new_len);
 
-    // Interior page-slab offsets (quantized mode: K, V raw, V quantized;
-    // teacher mode: K raw, V raw).
+    // Interior page-slab offsets: quantized K, raw V, quantized V.
     size_t kOff() const { return 0; }
     size_t vRawOff() const { return pt_ * d_; }
     size_t vQuantOff() const { return 2 * pt_ * d_; }
@@ -311,9 +280,9 @@ class KvCache
 
     // Decode target for compressed frozen pages (one per cache: the
     // engine gives each request its own cache, so concurrent decodes
-    // of a shared span never share scratch). Mutable because reads of
+    // of a shared span never share a buffer). Mutable because reads of
     // a compressed page materialize through const views.
-    mutable KvPagePool::DecodeScratch dscratch_;
+    mutable std::vector<float> region_buf_;
 };
 
 } // namespace mxplus

@@ -48,7 +48,6 @@ KvPagePool::enableCompression(std::unique_ptr<const PageCodec> codec,
     refs_.reserve(slab_limit_);
     charges_.assign(slab_limit_, 0);
     streams_.assign(slab_limit_, CompressedPage{});
-    generations_.assign(slab_limit_, 0);
     compressed_flags_ =
         std::make_unique<std::atomic<uint8_t>[]>(slab_limit_);
     for (size_t i = 0; i < slab_limit_; ++i)
@@ -116,9 +115,6 @@ KvPagePool::acquire()
                     std::make_unique<float[]>(floats_per_page_);
             charges_[id] = pageBytes();
             used_bytes_ += pageBytes();
-            // New life for this id: readers' scratches keyed on the
-            // old generation can never serve the recycled bytes.
-            ++generations_[id];
         }
         refs_[id] = 1;
         ++used_;
@@ -220,7 +216,7 @@ KvPagePool::isCompressed(uint32_t id) const
 
 const float *
 KvPagePool::pageRegion(uint32_t id, PageRegion region,
-                       DecodeScratch &scratch) const
+                       std::vector<float> &buf) const
 {
     MXPLUS_CHECK_MSG(codec_ != nullptr,
                      "pageRegion without enableCompression");
@@ -229,12 +225,6 @@ KvPagePool::pageRegion(uint32_t id, PageRegion region,
         region == PageRegion::kKey ? regions_.k_off : regions_.v_off;
     if (!compressed_flags_[id].load(std::memory_order_acquire))
         return slabs_[id].get() + off; // zero copy
-    // generations_[id] is stable here: the caller holds a reference,
-    // so the id cannot be recycled (and re-bumped) concurrently.
-    const uint32_t gen = generations_[id];
-    if (scratch.page == id &&
-        scratch.region == static_cast<int>(region) && scratch.gen == gen)
-        return scratch.data.data(); // already decoded by this reader
     const CompressedPage &cp = streams_[id];
     const size_t nfloats = region == PageRegion::kKey ? regions_.k_floats
                                                       : regions_.v_floats;
@@ -244,16 +234,11 @@ KvPagePool::pageRegion(uint32_t id, PageRegion region,
     const size_t sz = region == PageRegion::kKey
                           ? cp.k_bytes
                           : cp.bytes.size() - cp.k_bytes;
-    scratch.data.resize(nfloats);
+    buf.resize(nfloats);
     decode_calls_.fetch_add(1, std::memory_order_relaxed);
-    if (!codec_->decode(p, sz, scratch.data.data(), nfloats)) {
-        scratch.reset(); // corrupted stream: checksum layer handles it
-        return nullptr;
-    }
-    scratch.page = id;
-    scratch.region = static_cast<int>(region);
-    scratch.gen = gen;
-    return scratch.data.data();
+    if (!codec_->decode(p, sz, buf.data(), nfloats))
+        return nullptr; // corrupted stream: checksum layer handles it
+    return buf.data();
 }
 
 size_t
@@ -279,6 +264,13 @@ KvPagePool::compressedRatio() const
         return 1.0;
     return static_cast<double>(payload_bytes_total_) /
            static_cast<double>(stream_bytes_total_);
+}
+
+size_t
+KvPagePool::compressedStreamBytes() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return stream_bytes_total_;
 }
 
 void

@@ -32,8 +32,8 @@
  * regions with a lossless PageCodec, frees the float slab, and from
  * then on charges the page's *compressed* byte size against the
  * budget, so the same byte budget holds more frozen pages. Readers go
- * through pageRegion(), which transparently decodes a compressed page
- * into a caller-owned scratch; refcount, CoW-fork and free-list
+ * through pageRegion(), which decodes a compressed page region into a
+ * caller-owned buffer on every call; refcount, CoW-fork and free-list
  * semantics are unchanged, and a recycled page gets a fresh slab
  * again. The ledger switches from page counts to bytes: freePages()
  * reports how many more *uncompressed* pages the remaining byte
@@ -48,7 +48,7 @@
  * user). pageRegion() is lock-free as well: a compressed page's
  * stream is immutable while any owner holds a reference, so worker
  * threads sharing a span may decode it concurrently, each into its
- * own scratch. compressPage() must only run while no reader touches
+ * own buffer. compressPage() must only run while no reader touches
  * the page's slab (the engine compresses on publish, between compute
  * phases, from the engine thread).
  */
@@ -99,29 +99,6 @@ class KvPagePool
         size_t k_floats = 0;
         size_t v_off = 0;
         size_t v_floats = 0;
-    };
-
-    /**
-     * Caller-owned decode target for pageRegion(). Each reader (a
-     * request's cache, the prefix index's verifier) keeps its own, so
-     * concurrent decodes of a shared span never contend; the (page,
-     * region) key makes repeated walks over the same page free.
-     */
-    struct DecodeScratch
-    {
-        uint32_t page = kNoPage;
-        int region = -1;
-        /** Page-id generation the cached decode belongs to: a recycled
-            id bumps its generation, so a reader that outlives one of
-            its pages' former lives can never serve the stale bytes. */
-        uint32_t gen = 0;
-        std::vector<float> data;
-
-        void reset()
-        {
-            page = kNoPage;
-            region = -1;
-        }
     };
 
     /**
@@ -230,14 +207,17 @@ class KvPagePool
 
     /**
      * Read access to a payload region. Uncompressed pages return the
-     * slab pointer at the region offset (zero copy); compressed pages
-     * are decoded into @p scratch (cached by (page, region), so
-     * walking a page repeatedly decodes once). Returns nullptr when a
-     * compressed stream fails to decode — the checksum layer treats
-     * that as corruption. Only valid once compression is enabled.
+     * slab pointer at the region offset (zero copy); a compressed
+     * page's region is decoded into @p buf on every call, and the
+     * pointer into @p buf is valid until its next use. Each reader (a
+     * request's cache, the prefix index's verifier) keeps its own
+     * buffer, so concurrent decodes of a shared span never contend.
+     * Returns nullptr when a compressed stream fails to decode — the
+     * checksum layer treats that as corruption. Only valid once
+     * compression is enabled.
      */
     const float *pageRegion(uint32_t id, PageRegion region,
-                            DecodeScratch &scratch) const;
+                            std::vector<float> &buf) const;
 
     /** Bytes this live page charges against the budget right now. */
     size_t pageResidentBytes(uint32_t id) const;
@@ -249,7 +229,11 @@ class KvPagePool
      * compressPage() (1.0 when nothing compressed yet).
      */
     double compressedRatio() const;
-    /** Cumulative pageRegion() decode invocations. */
+    /** Cumulative stream bytes of every successful compressPage() (the
+        denominator of compressedRatio()). */
+    size_t compressedStreamBytes() const;
+    /** Cumulative page-region decodes (pageRegion() on a compressed
+        page). */
     size_t codecDecodeCalls() const
     {
         return decode_calls_.load(std::memory_order_relaxed);
@@ -291,9 +275,6 @@ class KvPagePool
     size_t used_bytes_ = 0;   ///< sum of live pages' charges
     std::vector<size_t> charges_;         ///< per-page byte charge
     std::vector<CompressedPage> streams_; ///< preallocated, index = page
-    /** Per-page recycle generation (bumped in acquire()); see
-        DecodeScratch::gen. Stable for any referenced page. */
-    std::vector<uint32_t> generations_;
     /** Lock-free "is compressed" flags for pageRegion()/pageData(). */
     std::unique_ptr<std::atomic<uint8_t>[]> compressed_flags_;
     size_t compressed_pages_ = 0;

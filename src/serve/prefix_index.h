@@ -189,8 +189,8 @@ class PrefixIndex
 
     std::shared_ptr<KvPagePool> pool_;
     /** Decode target for checksumming compressed pages (verify()
-        runs on the engine thread, so one scratch suffices). */
-    mutable KvPagePool::DecodeScratch scratch_;
+        runs on the engine thread, so one buffer suffices). */
+    mutable std::vector<float> scratch_;
     size_t n_layers_;
     size_t pt_;
     size_t capacity_pages_;

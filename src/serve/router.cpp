@@ -1161,7 +1161,7 @@ mergeFleetStats(const std::vector<const EngineStats *> &shards,
 {
     EngineStats f;
     double occupancy_weighted = 0.0;
-    double ratio_sum = 0.0;
+    double payload_bytes = 0.0;
 
     // Mechanism counters sum over the given shards — a re-routed
     // ticket's work on both shards is real work, like a preempted
@@ -1190,15 +1190,19 @@ mergeFleetStats(const std::vector<const EngineStats *> &shards,
         f.wall_ms = std::max(f.wall_ms, es->wall_ms);
         occupancy_weighted += es->mean_batch_occupancy *
             static_cast<double>(es->decode_batches);
-        ratio_sum += es->compressed_ratio;
+        f.compressed_stream_bytes += es->compressed_stream_bytes;
+        payload_bytes += es->compressed_ratio *
+            static_cast<double>(es->compressed_stream_bytes);
     }
     f.mean_batch_occupancy = f.decode_batches > 0
         ? occupancy_weighted / static_cast<double>(f.decode_batches)
         : 0.0;
-    // Fleet-level compression figure: every shard sees the same
-    // traffic mix, so the plain mean over shards is honest.
-    f.compressed_ratio =
-        shards.empty() ? 1.0 : ratio_sum / static_cast<double>(shards.size());
+    // Fleet-level compression figure: a ratio of sums, each shard's
+    // ratio weighted by the stream bytes it divides, so a shard that
+    // compressed nothing (and reports 1.0) weighs nothing.
+    f.compressed_ratio = f.compressed_stream_bytes > 0
+        ? payload_bytes / static_cast<double>(f.compressed_stream_bytes)
+        : 1.0;
 
     // Outcome counters and goodput are per TICKET (client truth): a
     // re-routed or failed-over request counts once, by its final

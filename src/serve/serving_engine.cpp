@@ -190,7 +190,7 @@ ServingEngine::ServingEngine(const Transformer &model, QuantConfig qc,
         (opts_.max_batch * ((cfg.max_seq + pt - 1) / pt) + prefix_pages) *
         cfg.n_layers;
     pool_ = std::make_shared<KvPagePool>(
-        pt, KvCache::floatsPerPage(cfg, /*teacher=*/false, pt),
+        pt, KvCache::floatsPerPage(cfg, pt),
         budget_pages_ > 0 ? budget_pages_ : hard_cap);
     admit_budget_pages_ = budget_pages_;
     if (opts_.compress_frozen_pages) {
@@ -206,7 +206,7 @@ ServingEngine::ServingEngine(const Transformer &model, QuantConfig qc,
                 : makePageCodec(named->name()),
             KvCache::payloadRegions(cfg, pt));
         if (budget_pages_ > 0) {
-            // Decode scratch is real memory outside the pool: one
+            // Decode buffers are real memory outside the pool: one
             // region (pt * d_model floats) per concurrent reader —
             // every slot's cache plus the prefix verifier. Charge it
             // against the ADMISSION window (not the physical pool) so
@@ -600,12 +600,14 @@ ServingEngine::nextChunkTokens(const Slot &slot) const
     size_t chunk = opts_.prefill_chunk == 0
         ? remaining
         : std::min(opts_.prefill_chunk, remaining);
-    if (prefix_ != nullptr && chunk < remaining) {
-        // With sharing on, computed quanta end on page boundaries so
-        // every completed page publishes immediately and followers'
-        // positions stay adoptable. The cache state (and therefore the
-        // sampled tokens) is chunk-invariant — frozen blocks are
-        // block-local — so this only shifts compute granularity.
+    if (chunk < remaining) {
+        // Computed quanta end on page boundaries. A page holds whole
+        // value blocks, so no chunk ends inside a block: every row
+        // attends over V blocks quantized over all their positions,
+        // as in the whole-prompt prefill, and the sampled tokens are
+        // chunk-invariant in every format. With sharing on, every
+        // completed page also publishes immediately and followers'
+        // positions stay adoptable.
         const size_t pt = pool_->pageTokens();
         const size_t end = slot.prefill_pos + chunk;
         chunk = std::min(prompt.size(), ((end + pt - 1) / pt) * pt) -
@@ -1209,6 +1211,7 @@ ServingEngine::engineStats() const
         es.prefix_evicted_pages =
             prefix_->evictedNodes() * model_.config().n_layers;
     es.compressed_ratio = pool_->compressedRatio();
+    es.compressed_stream_bytes = pool_->compressedStreamBytes();
     es.codec_decode_calls = pool_->codecDecodeCalls();
     return es;
 }

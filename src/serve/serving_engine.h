@@ -53,8 +53,10 @@
  * Preemption is bit-exact, not approximate: a preempted request
  * RESTARTS — generated tokens are discarded and regenerated — and the
  * regenerated stream is identical in every format because (a) prefill
- * is chunk-invariant (block quantizers are block-local, so the cache
- * state after prefilling a prompt is a pure function of the prompt),
+ * is chunk-invariant (a computed chunk ends on a page boundary, a page
+ * holds whole value blocks and block quantizers are block-local, so
+ * the cache state after prefilling a prompt is a pure function of the
+ * prompt),
  * (b) a batched decode row is bit-identical to a solo run, and (c)
  * each request samples from its own deterministic Rng, reset on
  * restart. Like batching, the budget and prefix sharing, preemption
@@ -191,7 +193,8 @@ struct EngineOptions
      * gracefully at admission time.
      */
     size_t kv_budget_tokens = 0;
-    /** Prompt tokens prefilled per scheduler step (0 = whole prompt). */
+    /** Prompt tokens prefilled per scheduler step (0 = whole prompt);
+        a computed chunk rounds up to end on a page boundary. */
     size_t prefill_chunk = 32;
     /** Tokens per KV page (0 = auto from the value quantizer). */
     size_t page_tokens = 0;
@@ -297,8 +300,8 @@ struct EngineOptions
      * (src/codec/), its float slab freed, and the pool's budget
      * charged by COMPRESSED bytes — so the same kv_budget_tokens
      * holds more cached prefix state and admission opens a wider
-     * window (PrefixIndex::heldPageEquivalents). Readers decode
-     * transparently into per-reader scratch. When K and V share one MX
+     * window (PrefixIndex::heldPageEquivalents). Readers decode each
+     * page region they read into a per-reader buffer. When K and V share one MX
      * configuration whose block size divides the head dim and the
      * page tokens, pages are stored as that format's blocks (the dense
      * MX codec); every other quantizer gets the bitpacking codec.
@@ -310,8 +313,7 @@ struct EngineOptions
     /**
      * The decode backend of the frozen-page codec: "auto" (AVX2 decode
      * when the CPU has it, else scalar), "simd", or "reference"
-     * (scalar). The MXPLUS_PAGE_CODEC environment variable overrides
-     * this. Encoded streams are byte-identical across backends — the
+     * (scalar). Encoded streams are byte-identical across backends — the
      * choice is decode speed, never representation. Ignored unless
      * compress_frozen_pages is set.
      */
@@ -428,7 +430,10 @@ struct EngineStats
     /** Uncompressed-payload over stream bytes across every page the
         pool compressed (1.0 when compression is off or idle). */
     double compressed_ratio = 1.0;
-    /** Codec decode invocations (pageRegion cache misses). */
+    /** Stream bytes of every page the pool compressed: the denominator
+        of compressed_ratio, and its weight in the fleet merge. */
+    size_t compressed_stream_bytes = 0;
+    /** Page-region decodes (reads of a compressed page region). */
     size_t codec_decode_calls = 0;
     /** Completed requests over all submitted (goodput, not just
         throughput: sheds, timeouts, cancels and rejects all count
@@ -630,7 +635,7 @@ class ServingEngine
     void movePin(Slot &slot, PrefixIndex::Node *node);
     Slot *findSlot(size_t id);
     /** Prompt tokens this slot would prefill in its next computed
-        quantum (chunk sizing, incl. page rounding under sharing). */
+        quantum (the chunk size, rounded up to a page boundary). */
     size_t nextChunkTokens(const Slot &slot) const;
     /**
      * Make the pool able to hand out @p needed pages: evict unpinned

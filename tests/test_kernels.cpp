@@ -276,18 +276,31 @@ TEST(GemmShapeStability, MatvecMatchesGemmAndHandlesStrides)
             ASSERT_EQ(y[j], c_gemm.at(2, j)) << j;
 
         // Strided W: weight rows embedded in a wider buffer, as the
-        // decode attention reads head slices out of a KV cache page.
+        // attention reads head slices out of a KV cache page; A and C
+        // are strided too, at every row count.
         const size_t ldw = w.cols() + 13;
         std::vector<float> ws(w.rows() * ldw, -7.0f);
         for (size_t j = 0; j < w.rows(); ++j)
             std::copy(w.row(j), w.row(j) + w.cols(), &ws[j * ldw]);
-        for (size_t r = 0; r < x.rows(); ++r) {
-            KernelDispatch::matvecStrided(backend, ws.data(), ldw, w.rows(),
-                                          w.cols(), x.row(r), y.data());
-            for (size_t j = 0; j < w.rows(); ++j)
-                ASSERT_EQ(y[j], c_gemm.at(r, j))
-                    << kernelBackendName(backend) << " (" << r << ", "
-                    << j << ")";
+        const size_t lda = x.cols() + 5;
+        std::vector<float> xs(x.rows() * lda, 3.0f);
+        for (size_t r = 0; r < x.rows(); ++r)
+            std::copy(x.row(r), x.row(r) + x.cols(), &xs[r * lda]);
+        const size_t ldc = w.rows() + 3;
+        for (size_t m = 1; m <= x.rows(); ++m) {
+            const size_t r0 = x.rows() - m;
+            std::vector<float> cs(m * ldc, -1.0f);
+            KernelDispatch::gemmNTStrided(backend, &xs[r0 * lda], lda,
+                                          ws.data(), ldw, cs.data(), ldc, m,
+                                          w.rows(), w.cols());
+            for (size_t i = 0; i < m; ++i) {
+                for (size_t j = 0; j < w.rows(); ++j)
+                    ASSERT_EQ(cs[i * ldc + j], c_gemm.at(r0 + i, j))
+                        << kernelBackendName(backend) << " m " << m
+                        << " (" << r0 + i << ", " << j << ")";
+                for (size_t j = w.rows(); j < ldc; ++j)
+                    ASSERT_EQ(cs[i * ldc + j], -1.0f) << "C padding";
+            }
         }
     }
 }

@@ -174,6 +174,7 @@ TEST(Router, MergeFleetStatsSumsShardsAndCountsEachTicketOnce)
     a.prefill_chunks = 4;
     a.preemptions = 1;
     a.compressed_ratio = 2.0;
+    a.compressed_stream_bytes = 600;
     a.cancelled_requests = 1; // the re-route artifact
     EngineStats b;
     b.wall_ms = 55.0;
@@ -184,6 +185,7 @@ TEST(Router, MergeFleetStatsSumsShardsAndCountsEachTicketOnce)
     b.kv_bytes_peak = 500;
     b.prefill_chunks = 3;
     b.compressed_ratio = 4.0;
+    b.compressed_stream_bytes = 600;
     b.cancelled_requests = 1; // the client's cancel
 
     // One terminal RequestStats per ticket.
@@ -214,7 +216,9 @@ TEST(Router, MergeFleetStatsSumsShardsAndCountsEachTicketOnce)
     EXPECT_DOUBLE_EQ(f.wall_ms, 55.0);
     // Weighted by decode batches: (3 x 10 + 1 x 30) / 40.
     EXPECT_DOUBLE_EQ(f.mean_batch_occupancy, 1.5);
+    // A ratio of sums: (2 x 600 + 4 x 600) / (600 + 600).
     EXPECT_DOUBLE_EQ(f.compressed_ratio, 3.0);
+    EXPECT_EQ(f.compressed_stream_bytes, 1200u);
     // Per ticket: the re-routed request counts once, completed, and
     // a's engine-level cancel of it never surfaces.
     EXPECT_EQ(f.total_generated, 6u);
@@ -230,6 +234,29 @@ TEST(Router, MergeFleetStatsSumsShardsAndCountsEachTicketOnce)
     const EngineStats empty = mergeFleetStats({}, {});
     EXPECT_DOUBLE_EQ(empty.compressed_ratio, 1.0);
     EXPECT_DOUBLE_EQ(empty.goodput_ok_fraction, 0.0);
+}
+
+TEST(Router, MergeFleetStatsWeighsCompressedRatioByStreamBytes)
+{
+    // A shard that compressed nothing reports 1.0 over zero stream
+    // bytes; it must not drag the fleet ratio toward 1.
+    EngineStats idle; // compressed_ratio 1.0, compressed_stream_bytes 0
+    EngineStats busy;
+    busy.compressed_ratio = 7.10;
+    busy.compressed_stream_bytes = 4096;
+    EXPECT_DOUBLE_EQ(mergeFleetStats({&idle, &busy}, {}).compressed_ratio,
+                     7.10);
+    EXPECT_DOUBLE_EQ(mergeFleetStats({&idle, &idle}, {}).compressed_ratio,
+                     1.0);
+    // Unequal streams weigh by bytes: (2 x 100 + 5 x 300) / 400.
+    EngineStats small;
+    small.compressed_ratio = 2.0;
+    small.compressed_stream_bytes = 100;
+    EngineStats large;
+    large.compressed_ratio = 5.0;
+    large.compressed_stream_bytes = 300;
+    EXPECT_DOUBLE_EQ(mergeFleetStats({&small, &large}, {}).compressed_ratio,
+                     4.25);
 }
 
 // ------------------------------------- 4 shards == single golden, per format

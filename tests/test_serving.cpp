@@ -84,15 +84,12 @@ TEST(KvCache, GrowthPreservesQuantizedViews)
     EXPECT_GE(cache.capacity(), total);
     EXPECT_GT(cache.memoryBytes(), 0u);
 
-    // Every view must equal a one-shot quantization of the raw prefix:
-    // K per token along the head dim, V per channel along the sequence.
+    // Every page view must equal a one-shot quantization of the raw
+    // prefix: K per token along the head dim, V per channel along the
+    // sequence.
+    const size_t pt = cache.pageTokens();
     for (size_t l = 0; l < cfg.n_layers; ++l) {
-        Matrix got_k;
-        Matrix got_v;
-        cache.gatherKeys(l, got_k);
-        cache.gatherValuesT(l, got_v);
-        ASSERT_EQ(got_k.rows(), total);
-        ASSERT_EQ(got_v.cols(), total);
+        ASSERT_EQ(cache.pageCount(l), (total + pt - 1) / pt);
         for (size_t h = 0; h < cfg.n_heads; ++h) {
             const size_t c0 = h * dh;
             Matrix kh(total, dh);
@@ -106,11 +103,16 @@ TEST(KvCache, GrowthPreservesQuantizedViews)
             const Matrix khq = qc.attention->quantized(kh);
             const Matrix vtq = qc.attention->quantized(vt);
             for (size_t t = 0; t < total; ++t) {
+                const float *kpage = cache.keyPageData(l, t / pt) +
+                    (t % pt) * cache.keyRowStride();
+                const float *vpage =
+                    cache.valuePageData(l, t / pt) + t % pt;
                 for (size_t c = 0; c < dh; ++c) {
-                    ASSERT_EQ(got_k.at(t, c0 + c), khq.at(t, c))
+                    ASSERT_EQ(kpage[c0 + c], khq.at(t, c))
                         << "K layer " << l << " head " << h << " (" << t
                         << ", " << c << ")";
-                    ASSERT_EQ(got_v.at(c0 + c, t), vtq.at(c, t))
+                    ASSERT_EQ(vpage[(c0 + c) * cache.valuePageRowStride()],
+                              vtq.at(c, t))
                         << "V layer " << l << " head " << h << " (" << c
                         << ", " << t << ")";
                 }
@@ -627,7 +629,7 @@ TEST(KvPaging, DecodeBitIdenticalAcrossPageSizes)
         const auto base = run(nullptr); // default page geometry
         for (const size_t pt : {static_cast<size_t>(64), cfg.max_seq}) {
             auto pool = std::make_shared<KvPagePool>(
-                pt, KvCache::floatsPerPage(cfg, /*teacher=*/false, pt),
+                pt, KvCache::floatsPerPage(cfg, pt),
                 /*max_pages=*/0);
             const auto got = run(pool);
             ASSERT_EQ(got.size(), base.size());
@@ -647,7 +649,7 @@ TEST(KvPaging, MemoryTracksLivePagesAndReleasesOnDestruction)
     const QuantConfig qc = QuantConfig::fromFormat("MXFP4+");
     const size_t pt = KvCache::pageTokensFor(qc.attention.get());
     auto pool = std::make_shared<KvPagePool>(
-        pt, KvCache::floatsPerPage(cfg, /*teacher=*/false, pt), 0);
+        pt, KvCache::floatsPerPage(cfg, pt), 0);
 
     {
         KvCache cache = KvCache::forConfig(cfg, qc, 0, pool);
@@ -720,36 +722,89 @@ TEST(DecodeParity, ChunkedPrefillMatchesWholePromptBf16)
     const Matrix b = model.decodeStep(3, chunked, qc);
     for (size_t i = 0; i < a.size(); ++i)
         ASSERT_EQ(a.data()[i], b.data()[i]);
+
+    // In every format, chunks that end on page boundaries split no
+    // value block, so every chunk row equals the whole-prompt row and
+    // the caches decode alike. Later chunks attend from pos0 > 0 over
+    // several pages, which pins the prefill page walk.
+    const auto prompt = tokenRamp(77, 5);
+    for (KernelBackend backend : kBothBackends) {
+        BackendGuard guard(backend);
+        for (const char *fmt :
+             {"BF16", "MXFP4", "MXFP4+", "MXFP4++", "MXFP8", "MXINT8+",
+              "NVFP4"}) {
+            const QuantConfig fq = QuantConfig::fromFormat(fmt);
+            KvCache one = KvCache::forConfig(model.config(), fq);
+            const Matrix ref = model.prefill(prompt, one, fq);
+            for (const size_t chunk : {size_t(32), size_t(64)}) {
+                KvCache cache = KvCache::forConfig(model.config(), fq);
+                for (size_t pos = 0; pos < prompt.size(); pos += chunk) {
+                    const size_t end = std::min(prompt.size(), pos + chunk);
+                    const Matrix rows = model.prefill(
+                        {prompt.begin() + static_cast<long>(pos),
+                         prompt.begin() + static_cast<long>(end)},
+                        cache, fq);
+                    for (size_t r = 0; r < rows.rows(); ++r) {
+                        for (size_t v = 0; v < rows.cols(); ++v)
+                            ASSERT_EQ(rows.at(r, v), ref.at(pos + r, v))
+                                << fmt << " on "
+                                << kernelBackendName(backend) << " chunk "
+                                << chunk << " row " << pos + r;
+                    }
+                }
+                KvCache twin = KvCache::forConfig(model.config(), fq);
+                model.prefill(prompt, twin, fq);
+                for (int step = 0; step < 6; ++step) {
+                    const int tok = 11 + 7 * step;
+                    const Matrix da = model.decodeStep(tok, twin, fq);
+                    const Matrix db = model.decodeStep(tok, cache, fq);
+                    for (size_t i = 0; i < da.size(); ++i)
+                        ASSERT_EQ(db.data()[i], da.data()[i])
+                            << fmt << " on " << kernelBackendName(backend)
+                            << " chunk " << chunk << " decode step "
+                            << step;
+                }
+            }
+        }
+    }
 }
 
 TEST(ServingEngine, PrefillChunkSizeDoesNotChangeBf16Tokens)
 {
+    // Every engine rounds a computed chunk up to a page boundary, so a
+    // chunk size that is not a multiple of the value block period
+    // cannot move a token in a block format either.
     const Transformer model(tinyConfig());
-    const QuantConfig qc = QuantConfig::bf16Baseline();
-
-    auto run = [&](size_t chunk) {
-        EngineOptions opts;
-        opts.max_batch = 2;
-        opts.prefill_chunk = chunk;
-        ServingEngine engine(model, qc, opts);
-        ServeRequest req;
-        req.prompt = tokenRamp(70, 3); // several chunks at chunk=8
-        req.max_new_tokens = 12;
-        ServeRequest other;
-        other.prompt = tokenRamp(5, 11);
-        other.max_new_tokens = 12;
-        const size_t a = engine.submit(std::move(req));
-        const size_t b = engine.submit(std::move(other));
-        engine.runToCompletion();
-        EXPECT_GE(engine.engineStats().prefill_chunks,
-                  chunk == 0 ? 2u : 70u / chunk);
-        return std::make_pair(engine.stats(a).generated,
-                              engine.stats(b).generated);
-    };
-    const auto fine = run(8);
-    const auto whole = run(0);
-    EXPECT_EQ(fine.first, whole.first);
-    EXPECT_EQ(fine.second, whole.second);
+    for (const char *fmt : {"BF16", "MXFP4+", "MXFP8"}) {
+        const QuantConfig qc = QuantConfig::fromFormat(fmt);
+        auto run = [&](size_t chunk) {
+            EngineOptions opts;
+            opts.max_batch = 2;
+            opts.prefill_chunk = chunk;
+            ServingEngine engine(model, qc, opts);
+            ServeRequest req;
+            req.prompt = tokenRamp(70, 3); // several chunks at chunk=8
+            req.max_new_tokens = 12;
+            ServeRequest other;
+            other.prompt = tokenRamp(5, 11);
+            other.max_new_tokens = 12;
+            const size_t a = engine.submit(std::move(req));
+            const size_t b = engine.submit(std::move(other));
+            engine.runToCompletion();
+            // Quanta of the chunk rounded up to whole pages.
+            const size_t pt = engine.pool().pageTokens();
+            const size_t quantum = (chunk + pt - 1) / pt * pt;
+            EXPECT_GE(engine.engineStats().prefill_chunks,
+                      chunk == 0 ? 2u : (70 + quantum - 1) / quantum)
+                << fmt;
+            return std::make_pair(engine.stats(a).generated,
+                                  engine.stats(b).generated);
+        };
+        const auto fine = run(8);
+        const auto whole = run(0);
+        EXPECT_EQ(fine.first, whole.first) << fmt;
+        EXPECT_EQ(fine.second, whole.second) << fmt;
+    }
 }
 
 // -------------------------------------------------- budget admission --
@@ -939,7 +994,7 @@ TEST(PrefixSharing, AdoptedPagesDecodeBitIdenticalToPrivatePrefill)
         const QuantConfig qc = QuantConfig::fromFormat(fmt);
         for (const size_t pt : {size_t(32), size_t(64)}) {
             auto pool = std::make_shared<KvPagePool>(
-                pt, KvCache::floatsPerPage(cfg, /*teacher=*/false, pt),
+                pt, KvCache::floatsPerPage(cfg, pt),
                 /*max_pages=*/0);
             {
                 KvCache a = KvCache::forConfig(cfg, qc, 0, pool);
@@ -1645,18 +1700,21 @@ TEST(CompressedPages, PoolCompressesDecodesAndRecyclesPages)
     EXPECT_LT(pool.pageResidentBytes(a), pool.pageBytes());
     EXPECT_TRUE(pool.auditInvariants());
 
-    KvPagePool::DecodeScratch scratch;
-    const float *k =
-        pool.pageRegion(a, KvPagePool::PageRegion::kKey, scratch);
+    std::vector<float> buf;
+    const float *k = pool.pageRegion(a, KvPagePool::PageRegion::kKey, buf);
     ASSERT_NE(k, nullptr);
     for (size_t i = 0; i < 8; ++i)
         EXPECT_EQ(k[i], k_orig[i]) << i;
     const float *v =
-        pool.pageRegion(a, KvPagePool::PageRegion::kValue, scratch);
+        pool.pageRegion(a, KvPagePool::PageRegion::kValue, buf);
     ASSERT_NE(v, nullptr);
     for (size_t i = 0; i < 8; ++i)
         EXPECT_EQ(v[i], v_orig[i]) << i;
-    EXPECT_GE(pool.codecDecodeCalls(), 2u);
+    // Every read of a compressed region decodes: no reader-side cache.
+    EXPECT_EQ(pool.codecDecodeCalls(), 2u);
+    ASSERT_NE(pool.pageRegion(a, KvPagePool::PageRegion::kValue, buf),
+              nullptr);
+    EXPECT_EQ(pool.codecDecodeCalls(), 3u);
 
     // Two compressed pages leave room for a THIRD raw page on a
     // 2-page byte budget — the capacity win, measured at pool level.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs drift gate.
 
-Two checks, both cheap enough to run in the clang-format CI job:
+Three checks, all cheap enough to run in the clang-format CI job:
 
 1. Table completeness: every field of ``EngineOptions``
    (src/serve/serving_engine.h) must be mentioned in the "Policy
@@ -17,6 +17,13 @@ Two checks, both cheap enough to run in the clang-format CI job:
    that exists, and a ``#fragment`` on a markdown target must match a
    heading in that file (GitHub-style slugs). External http(s) links
    are not touched — this is a hermetic check, no network.
+
+3. Environment variables, both ways: every ``getenv("MXPLUS_...")``
+   in src/, bench/, tests/ and examples/ must be named in README.md or
+   docs/*.md, and every ``MXPLUS_...`` name those documents mention
+   must be read by that code or be a CMake ``option()`` — so a new
+   variable cannot ship undocumented and a removed one cannot linger
+   in the docs.
 
 Exit code 0 when clean; 1 with one line per violation otherwise.
 
@@ -37,6 +44,13 @@ KNOB_SPECS = (
 )
 DOC_FILES = ("README.md", "ROADMAP.md")
 DOC_GLOBS = ("docs/*.md",)
+# Where environment variables are read, and the documents that name them.
+ENV_CODE_DIRS = ("src", "bench", "tests", "examples")
+ENV_CODE_SUFFIXES = (".h", ".cpp")
+ENV_DOC_FILES = ("README.md",)
+ENV_READ_RE = re.compile(r'getenv\("(MXPLUS_[A-Z0-9_]+)"\)')
+ENV_NAME_RE = re.compile(r"\bMXPLUS_[A-Z0-9_]+\b")
+CMAKE_OPTION_RE = re.compile(r"^\s*option\((MXPLUS_[A-Z0-9_]+)", re.M)
 
 # Lines like `size_t max_batch = 8;` / `FaultInjector *fault = nullptr;`
 # inside the struct body. The type may be multi-token; the field name is
@@ -169,6 +183,41 @@ def check_links(repo, errors):
                              dest.relative_to(repo)))
 
 
+def check_env(repo, errors):
+    reads = {}  # variable -> first "file:line" that reads it
+    for top in ENV_CODE_DIRS:
+        for path in sorted((repo / top).rglob("*")):
+            if path.suffix not in ENV_CODE_SUFFIXES:
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                for name in ENV_READ_RE.findall(line):
+                    reads.setdefault(
+                        name, "%s:%d" % (path.relative_to(repo), lineno))
+    options = set(CMAKE_OPTION_RE.findall(
+        (repo / "CMakeLists.txt").read_text()))
+    docs = [repo / f for f in ENV_DOC_FILES]
+    docs.extend(sorted(repo.glob("docs/*.md")))
+    mentions = {}  # name -> first "doc:line" that names it
+    for doc in docs:
+        if not doc.exists():
+            continue  # check_links reports missing documents
+        for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+            for name in ENV_NAME_RE.findall(line):
+                mentions.setdefault(
+                    name, "%s:%d" % (doc.relative_to(repo), lineno))
+    for name, where in sorted(reads.items()):
+        if name not in mentions:
+            errors.append(
+                "%s: reads environment variable %s, which neither "
+                "README.md nor docs/*.md names — document it" %
+                (where, name))
+    for name, where in sorted(mentions.items()):
+        if name not in reads and name not in options:
+            errors.append(
+                "%s: names %s, which no code reads and no CMake option "
+                "defines — drop the stale mention" % (where, name))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repo", default=Path(__file__).resolve().parent.parent,
@@ -179,6 +228,7 @@ def main():
     errors = []
     check_knobs(repo, errors)
     check_links(repo, errors)
+    check_env(repo, errors)
 
     if errors:
         for e in errors:
